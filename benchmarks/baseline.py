@@ -14,19 +14,10 @@ target --
   exercises the tiered scheduler's wheel level 0 and the bulk
   slot-absorption path into the calendar window as the clock chases
   the horizon -- not the window alone;
-* **scheduler A/B**: the same cancel-heavy program pushed through the
-  tiered scheduler and the reference binary heap, interleaved in one
-  window, timing push+cancel+drain end to end (where O(1) lazy
-  cancellation pays off).  Its mixed workload spans every tier:
-  calendar window, wheel levels 0-1 and the overflow bucket.  The two
-  drain orders are asserted identical pair-by-pair and a campaign-level
-  equivalence check (event digest + measurement-store sha256, fast vs
-  reference twins) rides along in the same run;
 * **data-plane msgs/sec**: framed Gnutella fan-out through the
   transport -- encode-once + header re-stamp per hop, ``send_many``
-  delivery -- with the frame-cache hit rate, the tracemalloc-measured
-  in-flight envelope footprint, and a fast-vs-reference delivery-schedule
-  assertion every run;
+  delivery -- with the frame-cache hit rate and the
+  tracemalloc-measured in-flight envelope footprint;
 * **scans/sec**: the scan engine over a duplicate-heavy blob workload
   (the paper's: a handful of malware instances dominate responses), with
   the verdict-cache hit rate -- both sourced from the engine's telemetry
@@ -147,82 +138,6 @@ def bench_kernel(total: int) -> dict:
     }
 
 
-def bench_scheduler(total: int, days: float) -> dict:
-    """Cancel-heavy scheduler A/B: tiered queue vs reference heap.
-
-    Both twins execute the identical program -- push ``total`` timers,
-    cancel 7 of every 10, drain to empty -- with the legs interleaved
-    in one measurement window, timing push+cancel+drain end to end so
-    the tiered queue's O(1) lazy cancellation (whole tombstone buckets
-    dropped without sifting) shows up against the heap's compaction
-    sweeps.  The workload is spread across every tier: most timers land
-    in wheel level 0 (up to ~4000 s out), a sprinkle in level 1, and
-    the drain migrates them through the calendar window.  Each
-    repetition asserts the two drain orders identical pair-by-pair;
-    afterwards a full campaign replays on both scheduler twins via
-    ``run_equivalence_check`` and the event digests, measurement-store
-    sha256 and headline metrics must match -- throughput and
-    behaviour-preservation proved in the same run.
-    """
-    from repro.devtools.selfcheck import run_equivalence_check
-    from repro.simnet.events import EventQueue
-    from repro.simnet.sched import TieredEventQueue
-
-    # Weyl-style deterministic scatter over 0..4000 s: wheel level 0
-    # territory, no entropy source needed
-    times = [((index * 2654435761) % 4_000_000) / 1000.0
-             for index in range(total)]
-    for index in range(0, total, 97):
-        times[index] = 50_000.0 + float(index)  # wheel level 1
-
-    def fire() -> None:
-        pass
-
-    def one_leg(queue):
-        start = time.perf_counter()
-        events = [queue.push(when, fire) for when in times]
-        for index, event in enumerate(events):
-            if index % 10 < 7:
-                queue.cancel(event)
-        order = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            order.append((event.time, event.seq))
-        return time.perf_counter() - start, order
-
-    tiered_times, heap_times = [], []
-    for _ in range(3):
-        elapsed, tiered_order = one_leg(TieredEventQueue())
-        tiered_times.append(elapsed)
-        elapsed, heap_order = one_leg(EventQueue())
-        heap_times.append(elapsed)
-        if tiered_order != heap_order:
-            raise AssertionError(
-                "tiered scheduler drain order diverged from the "
-                "reference heap")
-    tiered_s = min(tiered_times)
-    heap_s = min(heap_times)
-
-    # behaviour-preservation leg: one campaign on each scheduler twin,
-    # compared down to the event stream and collected bytes (sanitizer
-    # off, as everywhere in this file -- it patches hot paths)
-    check = run_equivalence_check("limewire", seed=3, days=days,
-                                  sanitize=False)
-    if not check.ok:
-        raise AssertionError(
-            "scheduler fast path diverged from the reference heap:\n"
-            + check.render())
-
-    return {
-        "scheduler_events_per_sec": total / tiered_s if tiered_s else 0.0,
-        "scheduler_ref_events_per_sec": total / heap_s if heap_s else 0.0,
-        "scheduler_speedup": heap_s / tiered_s if tiered_s else 0.0,
-        "scheduler_equivalence_events": check.events,
-    }
-
-
 def bench_dataplane(messages: int) -> dict:
     """Data-plane throughput: encode-once fan-out through the transport.
 
@@ -233,14 +148,11 @@ def bench_dataplane(messages: int) -> dict:
     through the full frame+schedule+deliver pipeline, the frame-cache
     hit rate, and the per-message in-flight envelope footprint measured
     with tracemalloc (untimed side leg, so tracing never skews the
-    throughput number).  Every run also replays a slice of the workload
-    on the reference slow path -- per-hop re-encode, closure-scheduled
-    deliveries -- and asserts the delivery schedule is identical.
+    throughput number).
     """
     import tracemalloc
 
-    from repro.gnutella.messages import FrameCache, Query, frame
-    from repro.simnet import fastpath
+    from repro.gnutella.messages import FrameCache, Query
     from repro.simnet.kernel import Simulator
     from repro.simnet.transport import LatencyModel, Transport
 
@@ -260,44 +172,23 @@ def bench_dataplane(messages: int) -> dict:
         guid = index.to_bytes(16, "little")
         queued = 0
         for hop in range(hops + 1):
-            if cache is not None:
-                raw = cache.frame(guid, query, ttl=7 - hop, hops=hop)
-            else:
-                raw = frame(guid, query, ttl=7 - hop, hops=hop)
+            raw = cache.frame(guid, query, ttl=7 - hop, hops=hop)
             src = ids[(index + hop) % peers]
             dsts = [ids[(index + hop + k) % peers]
                     for k in range(1, fan_out + 1)]
             queued += transport.send_many(src, dsts, raw)
         return queued
 
-    def run_leg(count, collect=None, use_cache=True):
+    def run_leg(count):
         sim, transport, ids = build()
-        if collect is None:
-            handler = lambda e: None  # noqa: E731
-        else:
-            handler = lambda e: collect.append((sim.now, e.dst))  # noqa: E731
         for endpoint_id in ids:
-            transport.attach(endpoint_id, handler)
-        cache = FrameCache(capacity=512) if use_cache else None
+            transport.attach(endpoint_id, lambda e: None)
+        cache = FrameCache(capacity=512)
         queued = 0
         for index in range(count):
             queued += send_round(transport, ids, cache, index)
         sim.run_all()
         return queued, cache
-
-    # correctness first: the fast path must be free, not just fast --
-    # the slow leg re-encodes every hop, so this also proves the header
-    # patching is byte-identical to a fresh encode
-    fast_log, slow_log = [], []
-    run_leg(50, collect=fast_log)
-    previous = fastpath.set_slow_path(True)
-    try:
-        run_leg(50, collect=slow_log, use_cache=False)
-    finally:
-        fastpath.set_slow_path(previous)
-    if fast_log != slow_log:
-        raise AssertionError(
-            "dataplane fast path diverged from the reference path")
 
     # timed leg (no tracing)
     rounds = max(1, messages // ((hops + 1) * fan_out))
@@ -721,21 +612,13 @@ def run(quick: bool, workers: int) -> dict:
           f"(overhead {results['telemetry_overhead_pct']:+.1f}%, "
           f"{results['queue_compactions']} compactions, "
           f"{results['telemetry_sampled_callbacks']} sampled callbacks)")
-    print("benchmarking scheduler A/B (tiered vs reference heap)...",
-          flush=True)
-    results.update(bench_scheduler(20_000 if quick else 200_000,
-                                   days=0.02 if quick else 0.05))
-    print(f"  {results['scheduler_events_per_sec']:,.0f} events/sec "
-          f"tiered vs {results['scheduler_ref_events_per_sec']:,.0f} "
-          f"heap ({results['scheduler_speedup']:.2f}x, drain order + "
-          f"campaign equivalence asserted)")
     print("benchmarking data plane...", flush=True)
     results.update(bench_dataplane(5_000 if quick else 50_000))
     print(f"  {results['dataplane_msgs_per_sec']:,.0f} msgs/sec "
           f"(frame cache hit rate "
           f"{results['dataplane_frame_cache_hit_rate']:.1%}, "
           f"{results['dataplane_envelope_bytes_per_msg']:.0f} B/msg "
-          f"in flight, fast == reference)")
+          f"in flight)")
     print("benchmarking scan engine...", flush=True)
     results.update(bench_scans(5_000 if quick else 50_000))
     print(f"  {results['scans_per_sec']:,.0f} scans/sec "

@@ -122,7 +122,8 @@ def main() -> None:
     print(reports.render_t3_top_malware(limewire.store), end="\n\n")
     print(reports.render_t3_top_malware(openft.store), end="\n\n")
 
-    top_ft = top_malware(openft.store)[0].name
+    rows = top_malware(openft.store)
+    top_ft = rows[0].name if rows else None
     print(reports.render_t4_sources(limewire.store), end="\n\n")
     print(reports.render_t4_sources(openft.store, top_strain=top_ft),
           end="\n\n")

@@ -38,9 +38,6 @@ DIRECTIONS = {
     "events_per_sec": True,
     "events_per_sec_telemetry": True,
     "telemetry_overhead_pct": False,
-    "scheduler_events_per_sec": True,
-    "scheduler_ref_events_per_sec": True,
-    "scheduler_speedup": True,
     "dataplane_msgs_per_sec": True,
     "dataplane_frame_cache_hit_rate": True,
     "dataplane_envelope_bytes_per_msg": False,

@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument("--no-sanitize", action="store_true",
                            help="compare digests without arming the "
                                 "entropy sanitizer")
-    selfcheck.add_argument("--equivalence", action="store_true",
-                           help="additionally re-run every seed on the "
-                                "reference (slow) data plane and demand "
-                                "identical event digests, store sha256 "
-                                "and headline metrics")
     selfcheck.add_argument("--shard-equivalence", action="store_true",
                            help="additionally prove the sharded kernel's "
                                 "contract for every seed: shards=1 (plain "
@@ -750,7 +745,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .devtools.selfcheck import run_equivalence_check, run_selfcheck
+    from .devtools.selfcheck import run_selfcheck
 
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
@@ -773,14 +768,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
                            sanitize=not args.no_sanitize)
     print(report.render())
     ok = report.ok
-    if args.equivalence:
-        print("\nfast-path vs reference-path equivalence:")
-        for seed in seeds:
-            check = run_equivalence_check(
-                network=args.network, seed=seed, days=args.days,
-                scale=args.scale, sanitize=not args.no_sanitize)
-            print(check.render())
-            ok = ok and check.ok
     if args.shard_equivalence:
         from .devtools.selfcheck import run_shard_equivalence_check
         print("\nsharded kernel vs plain kernel equivalence:")

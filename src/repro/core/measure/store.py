@@ -85,9 +85,8 @@ class MeasurementStore:
         """sha256 over the store's serialized form, without touching disk.
 
         Hashes exactly the bytes :meth:`save` would write, so two stores
-        with the same digest persist identically -- the equivalence
-        harness uses this to prove the data-plane fast path collects
-        bit-identical measurements.
+        with the same digest persist identically -- the golden campaign
+        fixtures pin collected measurements bit for bit with it.
         """
         import hashlib
 

@@ -8,7 +8,7 @@ invariant -- same seed, same bits.  Four pass families:
   and iteration-order taint tracked through assignments until it
   reaches a scheduling/seed/message sink;
 * :mod:`.layering` -- the import-DAG check (LAY001/LAY002);
-* :mod:`.twins` -- the fast/reference twin-drift check (TWN001) over
+* :mod:`.twins` -- the twin-drift check (TWN001) over
   pairs declared in ``[tool.detlint.twins]``;
 * :mod:`.concurrency` -- shared-state lint (CONC001-003) for the
   telemetry threads that run alongside the simulation.

@@ -29,7 +29,7 @@ _RULE_DESCRIPTIONS = {
     "DET008": "unordered iteration order reaches a sink through a variable",
     "LAY001": "module-level import violates the declared layer DAG",
     "LAY002": "undeclared deferred import crosses the layer DAG",
-    "TWN001": "fast/reference twin pair drifted on a declared obligation",
+    "TWN001": "twin pair drifted on a declared obligation",
     "CONC001": "unsynchronized cross-thread mutation of shared state",
     "CONC002": "lock-order inversion in the static acquisition graph",
     "CONC003": "blocking call inside a kernel callback",

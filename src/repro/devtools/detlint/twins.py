@@ -1,13 +1,13 @@
 """Twin registry + drift checker (TWN001).
 
-The fast paths (PRs 5-6) are only trustworthy because every one of
-them has a reference twin proven bit-identical at runtime: the tiered
-scheduler vs the binary heap, the zero-copy ``_on_envelope`` vs the
-eager-decode ``_on_envelope_reference``, ``patch_ttl_hops`` vs a full
-re-encode.  Runtime equivalence is a *late* signal though -- you learn
-about drift from a digest mismatch three layers away.  This pass makes
-the pairing a declared, versioned contract: ``pyproject.toml`` carries
-a ``[tool.detlint.twins]`` table naming every pair and the *mirror
+Some code comes in pairs that must stay in step: ``patch_ttl_hops``
+vs the full ``frame`` encoder, the sharded kernel's owner-filtered
+send vs ``Transport.send``, the serial vs the process shard executor.
+Runtime checks (the golden campaign fixtures, ``selfcheck
+--shard-equivalence``) are a *late* signal -- you learn about drift
+from a digest mismatch three layers away.  This pass makes the pairing
+a declared, versioned contract: ``pyproject.toml`` carries a
+``[tool.detlint.twins]`` table naming every pair and the *mirror
 obligations* both sides must keep satisfying, and the checker projects
 each side's normalized AST onto those obligations and fails TWN001 the
 moment one side changes without the other.
@@ -16,7 +16,7 @@ Obligations (each projects a function/class body to a set of strings):
 
 ``counters``
     attribute paths incremented with ``+=`` (``self.`` stripped) --
-    e.g. both envelope twins must bump ``stats.decode_errors``.
+    e.g. both sides must bump ``stats.decode_errors``.
 ``handlers``
     dispatch targets: calls whose terminal name starts with
     ``_handle``, normalized by stripping twin suffixes (``_raw``,
@@ -26,15 +26,15 @@ Obligations (each projects a function/class body to a set of strings):
 ``guards``
     exception types caught (``except MessageError:`` on both sides).
 ``raises``
-    exception types raised (the kernel loop twins must both refuse a
-    backwards clock with ``ValueError``).
+    exception types raised (a new refusal on one side must appear on
+    the other).
 ``sinks``
     calls into the fixed effect vocabulary (scheduling, callback
-    delivery, telemetry hooks, sends) -- the instrumented drain loop
-    must deliver through exactly the calls the plain loop does.
+    delivery, telemetry hooks, sends) -- both sides must deliver
+    through exactly the same calls.
 ``api``
-    public method names of a class pair (the drain contract:
-    ``EventQueue`` and ``TieredEventQueue`` expose the same surface).
+    public method names of a class pair (the two shard executors
+    expose the same surface).
 
 Members are written ``"pkg.module:Qual.name"``; a member that cannot
 be resolved is itself a TWN001 (a renamed twin must rename its

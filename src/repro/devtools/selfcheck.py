@@ -25,15 +25,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.experiments import HEADLINE_METRICS
 from ..core.measure.campaign import (CampaignConfig, run_limewire_campaign,
                                      run_openft_campaign)
-from ..simnet import fastpath
 from ..telemetry.runtime import CampaignTelemetry
 from .sanitizer import (DeterminismSanitizer, EntropyViolation, EventDigest,
                         LockOrderRecorder)
 
-__all__ = ["SeedCheck", "SelfcheckReport", "EquivalenceCheck",
-           "ShardEquivalenceCheck", "LockOrderReport", "run_digest_campaign",
-           "run_equivalence_check", "run_shard_equivalence_check",
-           "run_lock_order_check", "run_selfcheck"]
+__all__ = ["SeedCheck", "SelfcheckReport", "ShardEquivalenceCheck",
+           "LockOrderReport", "run_digest_campaign",
+           "run_shard_equivalence_check", "run_lock_order_check",
+           "run_selfcheck"]
 
 
 @dataclass(frozen=True)
@@ -100,20 +99,20 @@ class SelfcheckReport:
         return "\n".join(lines)
 
 
-def _digest_campaign(network: str, seed: int, days: float, scale: float,
-                     sanitize: bool,
-                     ) -> Tuple[str, int, Dict[str, float], str]:
-    """One digested campaign; returns (digest, events, metrics, store sha)."""
-    if network == "limewire":
-        runner = run_limewire_campaign
-        from ..peers.profiles import GnutellaProfile
-        profile = GnutellaProfile().scaled(scale)
-    elif network == "openft":
-        runner = run_openft_campaign
-        from ..peers.profiles import OpenFTProfile
-        profile = OpenFTProfile().scaled(scale)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+def run_digest_campaign(network: str, seed: int, days: float = 0.1,
+                        scale: float = 0.35, sanitize: bool = True,
+                        ) -> Tuple[str, int, Dict[str, float], str]:
+    """One campaign with digest attached.
+
+    Returns ``(digest, events, metrics, store sha256)``.  The digest
+    rides the telemetry slot: a stock :class:`CampaignTelemetry` bundle
+    is built (no journal) and the per-event hook is bound onto its
+    kernel instrumentation, so the check exercises the same
+    instrumented kernel loop production telemetry uses.
+    """
+    profile = _scaled_profile(network, scale)  # rejects unknown networks
+    runner = (run_limewire_campaign if network == "limewire"
+              else run_openft_campaign)
     digest = EventDigest()
     telemetry = CampaignTelemetry()
     telemetry.kernel.on_event = digest.on_event  # per-event kernel hook
@@ -127,83 +126,6 @@ def _digest_campaign(network: str, seed: int, days: float, scale: float,
                for name, fn in HEADLINE_METRICS[network].items()}
     return (digest.hexdigest(), digest.events, metrics,
             result.store.content_digest())
-
-
-def run_digest_campaign(network: str, seed: int, days: float = 0.1,
-                        scale: float = 0.35, sanitize: bool = True,
-                        ) -> Tuple[str, int, Dict[str, float]]:
-    """One campaign with digest attached; returns (digest, events, metrics).
-
-    The digest rides the telemetry slot: a stock
-    :class:`CampaignTelemetry` bundle is built (no journal) and the
-    per-event hook is bound onto its kernel instrumentation, so the
-    check exercises the same instrumented kernel loop production
-    telemetry uses.
-    """
-    digest, events, metrics, _store_sha = _digest_campaign(
-        network, seed, days, scale, sanitize)
-    return digest, events, metrics
-
-
-@dataclass(frozen=True)
-class EquivalenceCheck:
-    """Fast-path vs reference-path comparison for one (network, seed).
-
-    The reference run replays the same campaign with
-    :mod:`repro.simnet.fastpath` switched to the slow twins -- per-send
-    re-encode, eager body decode, closure-scheduled deliveries -- so a
-    match proves the data-plane fast path is behaviour-preserving down
-    to the event stream and the collected measurement bytes.
-    """
-
-    network: str
-    seed: int
-    fast_digest: str
-    slow_digest: str
-    fast_store_sha256: str
-    slow_store_sha256: str
-    events: int
-    metrics_fast: Dict[str, float]
-    metrics_slow: Dict[str, float]
-
-    @property
-    def ok(self) -> bool:
-        return (self.fast_digest == self.slow_digest
-                and self.fast_store_sha256 == self.slow_store_sha256
-                and self.metrics_fast == self.metrics_slow)
-
-    def render(self) -> str:
-        verdict = "OK" if self.ok else "DIVERGED"
-        lines = [f"seed {self.seed:>3d} ({self.network}): {self.events} "
-                 f"events, fast == reference -> {verdict}"]
-        if self.fast_digest != self.slow_digest:
-            lines.append(f"    event digests: {self.fast_digest[:16]}... "
-                         f"!= {self.slow_digest[:16]}...")
-        if self.fast_store_sha256 != self.slow_store_sha256:
-            lines.append(f"    store sha256: "
-                         f"{self.fast_store_sha256[:16]}... != "
-                         f"{self.slow_store_sha256[:16]}...")
-        if self.metrics_fast != self.metrics_slow:
-            lines.append(f"    metrics diverged: {self.metrics_fast} != "
-                         f"{self.metrics_slow}")
-        return "\n".join(lines)
-
-
-def run_equivalence_check(network: str, seed: int, days: float = 0.1,
-                          scale: float = 0.35,
-                          sanitize: bool = True) -> EquivalenceCheck:
-    """Run one campaign on both data planes and compare everything."""
-    fast = _digest_campaign(network, seed, days, scale, sanitize)
-    previous = fastpath.set_slow_path(True)
-    try:
-        slow = _digest_campaign(network, seed, days, scale, sanitize)
-    finally:
-        fastpath.set_slow_path(previous)
-    return EquivalenceCheck(
-        network=network, seed=seed,
-        fast_digest=fast[0], slow_digest=slow[0],
-        fast_store_sha256=fast[3], slow_store_sha256=slow[3],
-        events=fast[1], metrics_fast=fast[2], metrics_slow=slow[2])
 
 
 def _scaled_profile(network: str, scale: float):
@@ -324,7 +246,7 @@ def run_shard_equivalence_check(network: str, seed: int, days: float = 0.05,
                                 nshards: Tuple[int, int] = (2, 3),
                                 ) -> ShardEquivalenceCheck:
     """Prove the sharded kernel's determinism contract for one seed."""
-    plain = _digest_campaign(network, seed, days, scale, sanitize)
+    plain = run_digest_campaign(network, seed, days, scale, sanitize)
     single = _sharded_campaign(network, seed, days, scale, shards=1,
                                sanitize=sanitize)
     windowed = _sharded_campaign(network, seed, days, scale, shards=1,
@@ -375,9 +297,9 @@ def run_selfcheck(network: str = "limewire",
     seeds = tuple(seeds) if seeds else (1, 2)
     checks: List[SeedCheck] = []
     for seed in seeds:
-        digest_a, events_a, metrics_a = run_digest_campaign(
+        digest_a, events_a, metrics_a, _ = run_digest_campaign(
             network, seed, days=days, scale=scale, sanitize=sanitize)
-        digest_b, _events_b, metrics_b = run_digest_campaign(
+        digest_b, _events_b, metrics_b, _ = run_digest_campaign(
             network, seed, days=days, scale=scale, sanitize=sanitize)
         checks.append(SeedCheck(
             network=network, seed=seed, digest_first=digest_a,

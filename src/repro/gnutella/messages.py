@@ -392,7 +392,7 @@ def patch_ttl_hops(raw, ttl: int, hops: int) -> bytes:
     The descriptor header is fixed-layout (GUID | type | TTL | hops |
     length) and a forwarded descriptor differs from the received one in
     exactly those two bytes, so poking them produces the same bytes
-    :func:`frame` would -- the encode-once contract the fast path rests
+    :func:`frame` would -- the encode-once contract forwarding rests
     on (asserted in tests against a decode/re-encode reference).
 
     One buffer copy and two byte stores; the old three-slice splice

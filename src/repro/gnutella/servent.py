@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..files.library import SharedFile, SharedLibrary
 from ..malware.infection import HostInfection
-from ..simnet import fastpath
 from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
@@ -32,8 +31,8 @@ from .constants import (DEFAULT_PORT, DEFAULT_TTL, DESCRIPTOR_BYE,
                         QHD_VENDOR_LIMEWIRE)
 from .guid import GUID_LENGTH, new_guid
 from .messages import (Bye, FrameCache, Header, HitResult, MessageError,
-                       Ping, Pong, Push, Query, QueryHit, decode_payload,
-                       frame, parse_frame, parse_header, patch_ttl_hops)
+                       Ping, Pong, Query, QueryHit, frame, parse_header,
+                       patch_ttl_hops)
 from .qrp import QueryRouteTable
 
 __all__ = ["ServentStats", "GnutellaServent"]
@@ -100,9 +99,6 @@ class GnutellaServent:
         self._dynamic_states: Dict[bytes, Dict[str, object]] = {}
         #: encode-once memo for descriptors this servent fans out
         self.frame_cache = FrameCache()
-        #: sampled at construction (see simnet.fastpath): True selects
-        #: the decode-everything / encode-per-hop reference handlers
-        self._slow = fastpath.slow_path_enabled()
 
         #: ultrapeer neighbours (ids) -- for leaves these are its shields
         self.peer_ids: List[str] = []
@@ -121,8 +117,7 @@ class GnutellaServent:
         #: optional host cache fed by incoming Pongs (crawlers use this)
         self.host_cache = None  # type: Optional[object]
 
-        transport.attach(endpoint_id, self._on_envelope_reference
-                         if self._slow else self._on_envelope)
+        transport.attach(endpoint_id, self._on_envelope)
 
     # -- identity ----------------------------------------------------------
     @property
@@ -205,15 +200,16 @@ class GnutellaServent:
 
     # -- receiving -----------------------------------------------------------
     def _on_envelope(self, envelope: Envelope) -> None:
-        """Fast receive path: header-only parse, body decoded on demand.
+        """Receive path: header-only parse, body decoded on demand.
 
         Forwarding-heavy descriptor types never pay for a full decode:
         QueryHits relay as raw bytes with only the ttl/hops re-stamped,
         Pongs decode only when a host cache wants them, Pings and Pushes
-        are validated by length alone.  Accept/reject decisions (and the
-        ``decode_errors`` counter) match :meth:`_on_envelope_reference`
-        for every frame our encoders can produce; the per-type length
-        guards mirror the corresponding ``decode`` preconditions.
+        are validated by length alone.  A frame counts in
+        ``decode_errors`` exactly when :func:`decode_payload` would
+        reject it, for every frame our encoders can produce; the
+        per-type length guards mirror the corresponding ``decode``
+        preconditions.
         """
         raw = envelope.payload
         try:
@@ -236,7 +232,7 @@ class GnutellaServent:
         elif dtype == DESCRIPTOR_PONG:
             # Pong.decode fails on exactly one condition: payload < 14
             # bytes.  Check it even when nobody consumes the pong so the
-            # error counter matches the reference path.
+            # error counter matches decode_payload.
             if header.payload_length < 14:
                 self.stats.decode_errors += 1
             elif self.host_cache is not None:
@@ -258,33 +254,6 @@ class GnutellaServent:
             # decode_payload rejects unknown descriptor types
             self.stats.decode_errors += 1
 
-    def _on_envelope_reference(self, envelope: Envelope) -> None:
-        """Reference receive path: decode every body eagerly.
-
-        The pre-fast-path behaviour, kept verbatim for the equivalence
-        harness (see :mod:`repro.simnet.fastpath`): parse, decode, then
-        dispatch on the decoded message type.
-        """
-        try:
-            header, payload = parse_frame(envelope.payload)
-            message = decode_payload(header, payload)
-        except MessageError:
-            self.stats.decode_errors += 1
-            return
-        if isinstance(message, Query):
-            self._handle_query(envelope.src, header, message)
-        elif isinstance(message, QueryHit):
-            self._handle_query_hit(envelope.src, header, message)
-        elif isinstance(message, Ping):
-            self._handle_ping(envelope.src, header)
-        elif isinstance(message, Pong):
-            if self.host_cache is not None:
-                self.host_cache.add_pong(message, self.sim.now)
-        elif isinstance(message, Bye):
-            self._handle_bye(envelope.src)
-        elif isinstance(message, Push):
-            pass  # downloads are modelled at the measurement layer
-
     def _handle_bye(self, src: str) -> None:
         """A neighbour disconnected gracefully; drop its session state."""
         self.leaf_tables.pop(src, None)
@@ -299,11 +268,10 @@ class GnutellaServent:
 
     # -- query path ----------------------------------------------------------
     def _handle_query(self, src: str, header: Header, query: Query,
-                      raw: Optional[bytes] = None) -> None:
-        """Route one incoming query.  ``raw`` (fast path only) carries
-        the received wire bytes so forwarding re-stamps ttl/hops instead
-        of re-encoding the body; with ``raw=None`` (reference path)
-        every hop re-frames."""
+                      raw: bytes) -> None:
+        """Route one incoming query.  ``raw`` is the received frame;
+        forwarding re-stamps its ttl/hops instead of re-encoding the
+        body."""
         self.stats.queries_seen += 1
         if header.guid in self._routes or header.guid in self._origin_guids:
             self.stats.dropped_duplicates += 1
@@ -330,14 +298,9 @@ class GnutellaServent:
         self._routes[guid] = (src, now + ROUTE_TTL_S)
 
     def _forward_query(self, src: str, header: Header, query: Query,
-                       raw: Optional[bytes] = None) -> None:
+                       raw: bytes) -> None:
         if header.ttl > 1:
-            if raw is not None:
-                forwarded = patch_ttl_hops(raw, header.ttl - 1,
-                                           header.hops + 1)
-            else:
-                forwarded = frame(header.guid, query, ttl=header.ttl - 1,
-                                  hops=header.hops + 1)
+            forwarded = patch_ttl_hops(raw, header.ttl - 1, header.hops + 1)
             targets = [peer_id for peer_id in self.peer_ids
                        if peer_id != src]
             self.transport.send_many(self.endpoint_id, targets, forwarded)
@@ -347,13 +310,9 @@ class GnutellaServent:
         self._forward_to_leaves(src, header, query, raw)
 
     def _forward_to_leaves(self, src: str, header: Header, query: Query,
-                           raw: Optional[bytes] = None) -> None:
+                           raw: bytes) -> None:
         # leaves are last-hop deliveries regardless of remaining TTL
-        if raw is not None:
-            leaf_frame = patch_ttl_hops(raw, 1, header.hops + 1)
-        else:
-            leaf_frame = frame(header.guid, query, ttl=1,
-                               hops=header.hops + 1)
+        leaf_frame = patch_ttl_hops(raw, 1, header.hops + 1)
         for leaf_id, table in self.leaf_tables.items():
             if leaf_id == src:
                 continue
@@ -394,29 +353,18 @@ class GnutellaServent:
             return
         header: Header = state["header"]  # type: ignore[assignment]
         query: Query = state["query"]  # type: ignore[assignment]
-        if self._slow:
-            probe = frame(guid, query, ttl=self.DQ_PROBE_TTL,
-                          hops=header.hops + 1)
-        else:
-            # the same query object probes round after round, so the
-            # cache encodes the body once and re-stamps ttl/hops
-            probe = self.frame_cache.frame(guid, query,
-                                           ttl=self.DQ_PROBE_TTL,
-                                           hops=header.hops + 1)
+        # the same query object probes round after round, so the cache
+        # encodes the body once and re-stamps ttl/hops
+        probe = self.frame_cache.frame(guid, query, ttl=self.DQ_PROBE_TTL,
+                                       hops=header.hops + 1)
         for _ in range(min(self.DQ_BATCH, len(remaining))):
             peer_id = remaining.pop()
             self.transport.send(self.endpoint_id, peer_id, probe)
             self.stats.queries_forwarded_peers += 1
         state["rounds"] = int(state["rounds"]) + 1
-        if self._slow:
-            self.sim.after(self.DQ_INTERVAL_S,
-                           lambda: self._dynamic_round(guid),
-                           label="dynamic-query")
-        else:
-            # args-carrying event: same time, same label, no closure
-            self.sim.queue.push(self.sim.now + self.DQ_INTERVAL_S,
-                                self._dynamic_round, "dynamic-query",
-                                (guid,))
+        # args-carrying event: no closure
+        self.sim.queue.push(self.sim.now + self.DQ_INTERVAL_S,
+                            self._dynamic_round, "dynamic-query", (guid,))
 
     def _answer_locally(self, src: str, header: Header,
                         query: Query) -> None:
@@ -477,39 +425,17 @@ class GnutellaServent:
             return None
         return route[0]
 
-    def _handle_query_hit(self, src: str, header: Header,
-                          hit: QueryHit) -> None:
-        self._remember_push_route(hit.servent_guid, src)
-        state = self._dynamic_states.get(header.guid)
-        if state is not None:
-            state["results"] = int(state["results"]) + len(hit.results)
-        if header.guid in self._origin_guids:
-            self.stats.hits_received_local += 1
-            if self.on_local_hit is not None:
-                self.on_local_hit(hit, header)
-            return
-        route = self._routes.get(header.guid)
-        if route is None or route[1] < self.sim.now:
-            return  # route expired or unknown; drop like real servents
-        if header.ttl <= 1:
-            self.stats.dropped_ttl += 1
-            return
-        forwarded = frame(header.guid, hit, ttl=header.ttl - 1,
-                          hops=header.hops + 1)
-        self.transport.send(self.endpoint_id, route[0], forwarded)
-        self.stats.hits_forwarded += 1
-
     def _handle_query_hit_raw(self, src: str, header: Header,
                               raw: bytes) -> None:
-        """Fast-path twin of :meth:`_handle_query_hit`.
+        """Route one QueryHit frame back along its query's path.
 
         A relaying servent never needs the result list -- only the
         responder GUID (the frame's last 16 bytes), the result count
         (the payload's first byte) and the routing fields already in the
         header -- so intermediate hops forward the received bytes with
         just ttl/hops re-stamped.  Hits to our *own* queries decode
-        fully before any side effect, exactly as the reference path
-        does (a malformed hit must leave no state behind).
+        fully before any side effect (a malformed hit must leave no
+        state behind).
         """
         if header.guid in self._origin_guids:
             try:
@@ -526,7 +452,7 @@ class GnutellaServent:
                 self.on_local_hit(hit, header)
             return
         if header.payload_length < 11 + GUID_LENGTH:
-            # below QueryHit.decode's floor; count it like the reference
+            # below QueryHit.decode's floor; count it like decode_payload
             self.stats.decode_errors += 1
             return
         self._remember_push_route(raw[-GUID_LENGTH:], src)

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..files.library import SharedLibrary
 from ..files.names import tokenize
 from ..malware.infection import HostInfection
-from ..simnet import fastpath
 from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
@@ -126,12 +125,8 @@ class OpenFTNode:
         self._own_searches: Set[int] = set()
         self._own_browses: Set[int] = set()
         self._search_counter = 0
-        #: sampled at construction (see simnet.fastpath): True selects
-        #: the decode-everything reference receive path
-        self._slow = fastpath.slow_path_enabled()
 
-        transport.attach(endpoint_id, self._on_envelope_reference
-                         if self._slow else self._on_envelope)
+        transport.attach(endpoint_id, self._on_envelope)
 
     # -- identity -----------------------------------------------------------
     @property
@@ -158,16 +153,16 @@ class OpenFTNode:
         self.transport.send(self.endpoint_id, dst, encode_packet(packet))
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        """Fast receive path: header-only parse, decode on demand.
+        """Receive path: header-only parse, decode on demand.
 
         The two relay-dominated commands (search responses travelling
         back to the requester, browse listings streaming past
         non-owners) and search requests at non-search nodes skip the
         payload decode entirely; everything else falls through to the
         eager dispatch.  ``parse_packet_header`` applies the same
-        framing checks as :func:`decode_packet`, so accept/reject --
-        and ``decode_errors`` -- match the reference path for every
-        packet our encoders produce.
+        framing checks as :func:`decode_packet`, so a packet counts in
+        ``decode_errors`` exactly when :func:`decode_packet` would
+        reject it, for every packet our encoders produce.
         """
         raw = envelope.payload
         try:
@@ -179,7 +174,7 @@ class OpenFTNode:
             self._handle_SearchResponse_raw(envelope.src, raw, length)
         elif command == FT_SEARCH_REQUEST:
             if not self.is_search_node:
-                return  # the reference path decodes, then discards
+                return  # only search nodes serve searches
             try:
                 packet = SearchRequest.decode(raw[PACKET_HEADER_LENGTH:])
             except PacketError:
@@ -197,21 +192,6 @@ class OpenFTNode:
             handler = getattr(self, f"_handle_{type(packet).__name__}", None)
             if handler is not None:
                 handler(envelope.src, packet)
-
-    def _on_envelope_reference(self, envelope: Envelope) -> None:
-        """Reference receive path: decode every payload eagerly.
-
-        The pre-fast-path behaviour, kept for the equivalence harness
-        (see :mod:`repro.simnet.fastpath`).
-        """
-        try:
-            packet = decode_packet(envelope.payload)
-        except PacketError:
-            self.stats.decode_errors += 1
-            return
-        handler = getattr(self, f"_handle_{type(packet).__name__}", None)
-        if handler is not None:
-            handler(envelope.src, packet)
 
     # -- handshake-ish packets -----------------------------------------------
     def _handle_VersionRequest(self, src: str, packet: VersionRequest) -> None:
@@ -402,10 +382,10 @@ class OpenFTNode:
         return search_id
 
     def _handle_SearchRequest(self, src: str, packet: SearchRequest,
-                              raw: Optional[bytes] = None) -> None:
-        """Serve and forward one search.  ``raw`` (fast path only) lets
-        the mesh forward re-stamp the ttl bytes instead of re-encoding
-        the request once per peer."""
+                              raw: bytes) -> None:
+        """Serve and forward one search.  ``raw`` is the received
+        packet; the mesh forward re-stamps its ttl bytes instead of
+        re-encoding the request once per peer."""
         if not self.is_search_node:
             return
         self.stats.searches_seen += 1
@@ -422,21 +402,11 @@ class OpenFTNode:
         self._send(src, SearchResponse.end_marker(packet.search_id))
 
         if packet.ttl > 0:
-            if raw is not None:
-                forwarded = patch_search_ttl(raw, packet.ttl - 1)
-                targets = [peer_id for peer_id in self.search_peer_ids
-                           if peer_id != src]
-                self.transport.send_many(self.endpoint_id, targets,
-                                         forwarded)
-                self.stats.searches_forwarded += len(targets)
-            else:
-                request = SearchRequest(search_id=packet.search_id,
-                                        ttl=packet.ttl - 1,
-                                        query=packet.query)
-                for peer_id in self.search_peer_ids:
-                    if peer_id != src:
-                        self._send(peer_id, request)
-                        self.stats.searches_forwarded += 1
+            forwarded = patch_search_ttl(raw, packet.ttl - 1)
+            targets = [peer_id for peer_id in self.search_peer_ids
+                       if peer_id != src]
+            self.transport.send_many(self.endpoint_id, targets, forwarded)
+            self.stats.searches_forwarded += len(targets)
 
     def _match_local(self, packet: SearchRequest) -> List[SearchResponse]:
         tokens = [token for token in tokenize(packet.query) if token]
@@ -462,20 +432,9 @@ class OpenFTNode:
                 md5=record.md5, filename=record.filename))
         return responses
 
-    def _handle_SearchResponse(self, src: str,
-                               packet: SearchResponse) -> None:
-        if packet.search_id in self._own_searches:
-            if self.on_search_result is not None:
-                self.on_search_result(packet)
-            return
-        route = self._search_routes.get(packet.search_id)
-        if route is None or route[1] < self.sim.now:
-            return
-        self._send(route[0], packet)
-
     def _handle_SearchResponse_raw(self, src: str, raw: bytes,
                                    length: int) -> None:
-        """Fast-path twin of :meth:`_handle_SearchResponse`.
+        """Route one SearchResponse packet back to its requester.
 
         A relaying node only needs the search id (fixed offset) to pick
         the route; the received bytes forward untouched -- they are the
@@ -483,8 +442,8 @@ class OpenFTNode:
         searches decode fully before the callback sees them.
         """
         if length < 38:
-            # below SearchResponse.decode's floor; count it like the
-            # reference path would
+            # below SearchResponse.decode's floor; count it like
+            # decode_packet would
             self.stats.decode_errors += 1
             return
         search_id = struct.unpack_from(">I", raw, SEARCH_ID_OFFSET)[0]
@@ -518,17 +477,12 @@ class OpenFTNode:
                                            filename=shared.name))
         self._send(src, BrowseResponse.end_marker(packet.browse_id))
 
-    def _handle_BrowseResponse(self, src: str,
-                               packet: BrowseResponse) -> None:
-        if packet.browse_id in self._own_browses:
-            if self.on_browse_result is not None:
-                self.on_browse_result(packet)
-
     def _handle_BrowseResponse_raw(self, src: str, raw: bytes,
                                    length: int) -> None:
-        """Fast-path twin of :meth:`_handle_BrowseResponse`: listings
+        """Deliver one BrowseResponse packet for our own browse; listings
         streaming past a non-owner are dropped on the browse id alone."""
         if length < 26:
+            # below BrowseResponse.decode's floor
             self.stats.decode_errors += 1
             return
         browse_id = struct.unpack_from(">I", raw, PACKET_HEADER_LENGTH)[0]

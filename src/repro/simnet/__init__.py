@@ -11,7 +11,7 @@ from .addresses import (AddressAllocator, HostAddress, classify_address,
                         is_private)
 from .churn import ALWAYS_ON, HOME_PEER, SERVER_LIKE, ChurnProcess, ChurnProfile
 from .clock import SECONDS_PER_DAY, VirtualClock, days, hours, minutes
-from .events import Event, EventQueue
+from .events import Event
 from .kernel import Simulator
 from .rng import SeededStream, StreamRegistry, derive_seed
 from .transport import Endpoint, Envelope, LatencyModel, Transport
@@ -20,7 +20,7 @@ __all__ = [
     "AddressAllocator", "HostAddress", "classify_address", "is_private",
     "ALWAYS_ON", "HOME_PEER", "SERVER_LIKE", "ChurnProcess", "ChurnProfile",
     "SECONDS_PER_DAY", "VirtualClock", "days", "hours", "minutes",
-    "Event", "EventQueue", "Simulator",
+    "Event", "Simulator",
     "SeededStream", "StreamRegistry", "derive_seed",
     "Endpoint", "Envelope", "LatencyModel", "Transport",
 ]

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from . import fastpath
 from .clock import VirtualClock
-from .events import Event, EventQueue
+from .events import Event
 from .rng import SeededStream, StreamRegistry
 from .sched import TieredEventQueue
 
@@ -29,15 +28,8 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0,
                  telemetry=None) -> None:
         self.clock = VirtualClock(start_time)
-        #: scheduler twins, selected once at construction (the PR 5
-        #: fastpath pattern): the tiered calendar-queue + timer-wheel
-        #: scheduler on the fast path, the reference binary heap on the
-        #: slow path.  Pop order is bit-identical either way -- proven
-        #: by run_equivalence_check and the differential tests.
-        if fastpath.slow_path_enabled():
-            self.queue = EventQueue()
-        else:
-            self.queue = TieredEventQueue()
+        #: calendar-queue + timer-wheel scheduler (see simnet.sched)
+        self.queue = TieredEventQueue()
         self.streams = StreamRegistry(seed)
         self.seed = seed
         self.events_processed = 0
@@ -116,14 +108,19 @@ class Simulator:
         self._halted = True
 
     def _drain_windowed(self, end_time: float, limit: float) -> int:
-        """Drain loop twins for the tiered scheduler's window protocol.
+        """Drain loops riding the tiered scheduler's window.
 
         ``TieredEventQueue._head`` leaves the cursor on a live head of
         the activated (tombstone-filtered, sorted) window; between
         ``_head`` calls these loops consume the window list by index --
         two list indexings and an integer bump per event instead of a
-        ``pop_ready`` method call.  The riding is exact, not a replay
-        approximation:
+        ``pop_ready`` method call.  The riding is exact: events fire in
+        ``pop_ready`` order.
+
+        The clock advances by direct assignment behind an explicit
+        monotonicity guard (the invariant ``VirtualClock.advance_to``
+        enforces, without a method call per event), and args-carrying
+        events dispatch without a closure: ``callback(*args)``.  Also:
 
         * the queue cursor/counters (``_pos``/``_live`` and the home
           cell's live count) are synced *before* every callback, so a
@@ -131,12 +128,10 @@ class Simulator:
           have left (``len(queue)``, gauges, ``peek_time``);
         * a callback pushing into the active window bisect-inserts at
           an index >= the synced cursor (its time is >= now), so the
-          re-read ``entries[pos]`` picks it up in exact heap order;
+          re-read ``entries[pos]`` picks it up in (time, seq) order;
         * cancels only flip tombstone flags, handled by the in-loop
-          skip (mirroring the heap's discard-dead-head rule, beyond
-          the horizon included);
-        * ``halt()`` and ``max_events`` are honoured per event, same
-          as the reference twins.
+          skip (a cancelled head is discarded even beyond the horizon);
+        * ``halt()`` and ``max_events`` are honoured per event.
         """
         queue, clock = self.queue, self.clock
         telemetry = self.telemetry
@@ -185,8 +180,12 @@ class Simulator:
                         queue._pos = pos
                         break
         else:
-            # instrumented twins of the loop above; see the reference
-            # loops in run_until for what each knob does
+            # instrumented twin of the loop above: one dict get/set per
+            # event, plus a perf_counter pair around every Nth callback.
+            # ``on_event`` is the optional per-event hook of the
+            # telemetry duck type (the determinism selfcheck hangs its
+            # event-stream digest here); the standard KernelTelemetry
+            # has none.
             from time import perf_counter
 
             counts = telemetry.label_counts
@@ -259,116 +258,10 @@ class Simulator:
         scheduled beyond ``end_time`` remain queued, so the simulation can be
         resumed (the campaign driver uses this to take daily snapshots).
         """
-        processed = 0
         self._halted = False
-        queue, clock = self.queue, self.clock
-        telemetry = self.telemetry
-        # hot-loop style shared by all three twins below: pop_ready
-        # fuses the peek/pop pair (one walk over the dead prefix, two
-        # fewer calls per event), the clock is advanced by direct
-        # assignment behind an explicit monotonicity guard (the same
-        # invariant VirtualClock.advance_to enforces, without a method
-        # call per event), and args-carrying events dispatch without a
-        # closure: ``callback(*args)``.
-        pop_ready = queue.pop_ready
+        queue, telemetry = self.queue, self.telemetry
         limit = float("inf") if max_events is None else max_events
-        if getattr(queue, "windowed", False):
-            # tiered scheduler: ride the sorted window by index instead
-            # of paying a pop_ready call per event (the loop twins below
-            # stay verbatim as the heap reference path)
-            processed = self._drain_windowed(end_time, limit)
-        elif telemetry is None:
-            while not self._halted and processed < limit:
-                event = pop_ready(end_time)
-                if event is None:
-                    break
-                time = event.time
-                if time < clock._now:
-                    raise ValueError(
-                        f"clock cannot run backwards: now={clock._now!r}, "
-                        f"target={time!r}")
-                clock._now = time
-                args = event.args
-                if args:
-                    event.callback(*args)
-                else:
-                    event.callback()
-                processed += 1
-        else:
-            # instrumented twin of the loop above: one dict get/set per
-            # event, plus a perf_counter pair around every Nth callback.
-            # ``on_event`` is the optional per-event hook of the telemetry
-            # duck type (the determinism selfcheck hangs its event-stream
-            # digest here); absent on the standard KernelTelemetry, in
-            # which case the hook-free twin below runs instead — the
-            # common instrumented path pays nothing for the slot.
-            from time import perf_counter
-
-            counts = telemetry.label_counts
-            counts_get = counts.get
-            sample_every = telemetry.sample_every
-            since_sample = telemetry.since_sample
-            on_event = getattr(telemetry, "on_event", None)
-            if on_event is None:
-                while not self._halted and processed < limit:
-                    event = pop_ready(end_time)
-                    if event is None:
-                        break
-                    time = event.time
-                    if time < clock._now:
-                        raise ValueError(
-                            f"clock cannot run backwards: "
-                            f"now={clock._now!r}, target={time!r}")
-                    clock._now = time
-                    label = event.label
-                    counts[label] = counts_get(label, 0) + 1
-                    args = event.args
-                    since_sample += 1
-                    if since_sample >= sample_every:
-                        since_sample = 0
-                        started = perf_counter()
-                        if args:
-                            event.callback(*args)
-                        else:
-                            event.callback()
-                        telemetry.observe_callback(
-                            label, perf_counter() - started)
-                    elif args:
-                        event.callback(*args)
-                    else:
-                        event.callback()
-                    processed += 1
-            else:
-                while not self._halted and processed < limit:
-                    event = pop_ready(end_time)
-                    if event is None:
-                        break
-                    time = event.time
-                    if time < clock._now:
-                        raise ValueError(
-                            f"clock cannot run backwards: "
-                            f"now={clock._now!r}, target={time!r}")
-                    clock._now = time
-                    label = event.label
-                    counts[label] = counts_get(label, 0) + 1
-                    on_event(time, label)
-                    args = event.args
-                    since_sample += 1
-                    if since_sample >= sample_every:
-                        since_sample = 0
-                        started = perf_counter()
-                        if args:
-                            event.callback(*args)
-                        else:
-                            event.callback()
-                        telemetry.observe_callback(
-                            label, perf_counter() - started)
-                    elif args:
-                        event.callback(*args)
-                    else:
-                        event.callback()
-                    processed += 1
-            telemetry.since_sample = since_sample
+        processed = self._drain_windowed(end_time, limit)
         remaining = queue.peek_time()
         if not self._halted and (remaining is None or remaining > end_time):
             # drain reached the horizon; move the clock to it so callers can

@@ -1,12 +1,10 @@
 """Tiered event scheduler: calendar queue + hierarchical timer wheel.
 
-This is the fast twin of :class:`repro.simnet.events.EventQueue` (the
-binary heap, kept verbatim as the reference implementation).  PR 5 left
-the heap as the dominant kernel cost: every push and pop pays an
-O(log n) sift, and the campaign workload is *cancellation-heavy* --
-churn sessions and download retries cancel more timers than they fire
--- so dead entries keep getting sifted over and compacted.  This
-scheduler makes insert, pop and cancel O(1) amortized:
+The kernel's event queue.  A binary heap pays an O(log n) sift on
+every push and pop, and the campaign workload is
+*cancellation-heavy* -- churn sessions and download retries cancel
+more timers than they fire -- so a heap keeps sifting over dead
+entries.  This scheduler makes insert, pop and cancel O(1) amortized:
 
 * **Near band -- calendar queue.**  The bottom tier is one sorted run
   of ``(time, seq, event)`` entries covering the current window
@@ -36,15 +34,15 @@ scheduler makes insert, pop and cancel O(1) amortized:
   reaches it: its tombstones are never individually examined, which is
   what makes churn-heavy workloads (cancel >> fire) cheap.
 
-**Determinism.**  Pop order is bit-identical to the heap's: entries
-are ``(time, seq, event)`` tuples, the window sorts by that tuple, and
-every far entry is strictly later than every window entry (placement
-happens against the current horizon, and re-anchoring pulls in
-everything below the new horizon).  Late schedules landing inside the
-active window are merged into its sorted remainder by bisection,
-exactly where the heap would surface them.  ``run_equivalence_check``
-and the randomized differential test in ``tests/simnet/test_sched.py``
-assert the equivalence event by event.
+**Determinism.**  Events pop in exact ``(time, seq)`` order, as a
+binary heap would pop them: entries are ``(time, seq, event)`` tuples,
+the window sorts by that tuple, and every far entry is strictly later
+than every window entry (placement happens against the current
+horizon, and re-anchoring pulls in everything below the new horizon).
+Late schedules landing inside the active window are merged into its
+sorted remainder by bisection.  The randomized differential test in
+``tests/simnet/test_sched.py`` checks the order event by event against
+a ``heapq`` oracle.
 
 All widths are powers of two, so the float arithmetic quantizing times
 into buckets and slots is exact -- no platform-dependent rounding can
@@ -116,21 +114,16 @@ class _Cell:
 class TieredEventQueue:
     """Deterministic calendar-queue + timer-wheel scheduler.
 
-    Duck-type compatible with :class:`~repro.simnet.events.EventQueue`
-    (``push`` / ``cancel`` / ``pop`` / ``peek_time`` / ``pop_ready`` /
-    ``__len__`` / ``dead_events`` / ``compactions`` /
-    ``cancelled_total``), plus per-tier depth properties
-    (:attr:`near_depth` / :attr:`wheel_depth`) for the telemetry
-    gauges.  ``compactions`` counts bulk tombstone purges -- whole-cell
-    drops and filter passes that removed dead entries -- the tiered
-    analogue of the heap twin's rebuild counter.
+    ``push`` / ``cancel`` / ``pop`` / ``peek_time`` / ``pop_ready`` /
+    ``__len__``, plus gauges for the kernel telemetry:
+    ``dead_events``, ``cancelled_total``, the per-tier depths
+    :attr:`near_depth` / :attr:`wheel_depth`, and ``compactions``,
+    which counts bulk tombstone purges (whole-cell drops and filter
+    passes that removed dead entries).  The kernel's drain loops ride
+    ``_entries``/``_pos`` directly between ``_head`` calls instead of
+    paying a ``pop_ready`` call per event (see
+    ``Simulator._drain_windowed``).
     """
-
-    #: advertises the window drain protocol: the kernel's fast loop
-    #: twins ride ``_entries``/``_pos`` directly between ``_head``
-    #: calls instead of paying a ``pop_ready`` call per event (see
-    #: ``Simulator._drain_windowed``)
-    windowed = True
 
     def __init__(self) -> None:
         self._counter = itertools.count()
@@ -184,9 +177,9 @@ class TieredEventQueue:
     def iter_entries(self):
         """Yield every queued ``(time, seq, event)`` entry, unordered.
 
-        Introspection for tests and debugging only -- both scheduler
-        twins expose it.  Tombstoned entries are included; the window's
-        already-consumed prefix is not.
+        Introspection for tests and debugging only.  Tombstoned
+        entries are included; the window's already-consumed prefix is
+        not.
         """
         yield from self._entries[self._pos if self._sorted else 0:]
         for slots in self._levels:
@@ -214,8 +207,8 @@ class TieredEventQueue:
             cell = self._window_cell
             if self._sorted:
                 # active window: merge into the sorted remainder --
-                # tuple order lands it exactly where the heap twin
-                # would pop it, stragglers included
+                # tuple order lands it exactly in (time, seq) order,
+                # stragglers included
                 insort(self._entries, (time, seq, event), self._pos)
             else:
                 self._entries.append((time, seq, event))
@@ -277,7 +270,7 @@ class TieredEventQueue:
         """Tombstone ``event`` in O(1) -- no sift, no search (idempotent).
 
         Cancelling an event that already fired marks it but leaves the
-        counters alone, the same rule as the heap twin.
+        counters alone.
         """
         if event.cancelled:
             return
@@ -291,26 +284,13 @@ class TieredEventQueue:
         self._live -= 1
         self._dead += 1
 
-    def note_cancelled(self) -> None:
-        """Count-only hook mirroring the heap twin's API.
-
-        Callers that tombstone ``event.cancelled`` directly (instead of
-        :meth:`cancel`) keep the totals right with this; the event's
-        cell live count stays stale, so the entry is skipped lazily at
-        pop time rather than enabling a whole-cell drop -- same
-        observable behaviour, slightly less bulk skipping.
-        """
-        self._live -= 1
-        self._dead += 1
-        self.cancelled_total += 1
-
     # -- consumption --------------------------------------------------------
     def pop_ready(self, end_time: float) -> Optional[Event]:
         """Pop the earliest live event with ``time <= end_time``.
 
         The kernel's hot-path primitive: the common case is two list
         indexings and an integer bump -- no heap sift, no comparison
-        cascade.  Pop order is bit-identical to the heap twin's.
+        cascade.
         """
         pos = self._pos
         entries = self._entries

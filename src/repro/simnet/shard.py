@@ -120,7 +120,7 @@ class ShardedTransport(Transport):
     -- the whole reason N-shard runs collect identical measurement
     bytes for any N.  With one shard the plan is a no-op and sends
     delegate verbatim to :meth:`Transport.send` (shared ``transport``
-    stream, fast/slow path intact): bit-identical to the plain kernel.
+    stream): bit-identical to the plain kernel.
     """
 
     #: protocol layers and fault injectors key their shard-mode

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
 
-from . import fastpath
 from .kernel import Simulator
 from .rng import SeededStream
 
@@ -97,9 +96,6 @@ class Transport:
         self.loss_rate = loss_rate
         self._endpoints: Dict[str, Endpoint] = {}
         self._stream = sim.stream("transport")
-        #: sampled at construction: True routes sends through the
-        #: closure-allocating reference scheduler (see simnet.fastpath)
-        self._slow = fastpath.slow_path_enabled()
         self.delivered = 0
         #: per-cause drop tally; ``dropped`` sums it (see DROP_CAUSES)
         self.drop_causes: Dict[str, int] = {cause: 0 for cause in DROP_CAUSES}
@@ -170,19 +166,12 @@ class Transport:
         now = self.sim.now
         envelope = Envelope(src=src, dst=dst, payload=payload, sent_at=now)
         delay = self.latency.delay(self._stream, len(payload))
-        if self._slow:
-            # reference twin: per-message closure, same label, same
-            # delivery-time _deliver lookup -- byte-identical schedule
-            self.sim.after(delay, lambda: self._deliver(envelope),
-                           label=DELIVER_LABEL)
-        else:
-            # args-carrying event: no closure allocation.  The callback
-            # is _dispatch, not the bound _deliver, so fault injectors
-            # and traces that tap ``self._deliver`` after this message
-            # was scheduled still see it (the tap is resolved at fire
-            # time, exactly as the closure resolved it).
-            self.sim.queue.push(now + delay, self._dispatch,
-                                DELIVER_LABEL, (envelope,))
+        # args-carrying event: no closure allocation.  The callback is
+        # _dispatch, not the bound _deliver, so fault injectors and
+        # traces that tap ``self._deliver`` after this message was
+        # scheduled still see it (the tap is resolved at fire time).
+        self.sim.queue.push(now + delay, self._dispatch,
+                            DELIVER_LABEL, (envelope,))
         return True
 
     def send_many(self, src: str, dsts: Iterable[str],

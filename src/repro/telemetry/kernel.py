@@ -106,9 +106,8 @@ class KernelTelemetry:
         self._queue_dead.set(queue.dead_events)
         self._compactions.set(queue.compactions)
         self._cancelled.set(getattr(queue, "cancelled_total", 0))
-        # both scheduler twins expose the tier split directly; the heap
-        # counts every live event as near so the near + wheel == depth
-        # invariant holds on the reference twin too
+        # the scheduler exposes its tier split directly
+        # (near + wheel == depth)
         self._near_depth.set(queue.near_depth)
         self._wheel_depth.set(queue.wheel_depth)
         self._virtual_time.set(sim.now)

@@ -14,7 +14,7 @@ class TestRunDigestCampaign:
     def test_same_seed_twice_matches(self):
         first = run_digest_campaign("limewire", seed=5, **FAST)
         second = run_digest_campaign("limewire", seed=5, **FAST)
-        assert first == second  # digest, event count and metrics
+        assert first == second  # digest, events, metrics, store sha
 
     def test_different_seeds_differ(self):
         first = run_digest_campaign("limewire", seed=5, **FAST)
@@ -22,10 +22,11 @@ class TestRunDigestCampaign:
         assert first[0] != second[0]
 
     def test_openft_network_supported(self):
-        digest, events, metrics = run_digest_campaign(
+        digest, events, metrics, store_sha = run_digest_campaign(
             "openft", seed=5, **FAST)
         assert events > 0
         assert "prevalence" in metrics
+        assert len(store_sha) == 64
 
     def test_unknown_network_rejected(self):
         with pytest.raises(ValueError):

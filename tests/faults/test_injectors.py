@@ -47,6 +47,18 @@ class TestLossBurst:
         sim.run_until(300.0)
         assert len(inboxes["b"]) == 1
 
+    def test_injector_tap_sees_each_fanout_send(self, sim):
+        """send_many must schedule one interceptable delivery per
+        receiver -- a batched delivery would let one loss draw kill (or
+        spare) the whole fan-out."""
+        transport, inboxes = make_transport(sim)
+        injector = install(sim, transport, LossBurst(0.0, 60.0, 1.0))
+        assert transport.send_many("a", ("b", "c", "d"), b"payload") == 3
+        sim.run_until(30.0)
+        assert injector.injected["loss"] == 3  # one draw per envelope
+        assert inboxes["b"] == inboxes["c"] == inboxes["d"] == []
+        assert transport.drop_causes["fault-injected"] == 3
+
     def test_not_yet_open_window_is_inert(self, sim):
         transport, inboxes = make_transport(sim)
         injector = install(sim, transport, LossBurst(50.0, 100.0, 1.0))

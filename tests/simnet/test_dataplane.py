@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from repro.simnet import fastpath
 from repro.simnet.events import Event
 from repro.simnet.kernel import Simulator
 from repro.simnet.transport import (DELIVER_LABEL, Endpoint, Envelope,
@@ -119,29 +118,9 @@ class TestSendMany:
         assert labels == {DELIVER_LABEL}
         assert DELIVER_LABEL == "deliver"  # bounded, population-free
 
-    def test_fast_and_slow_paths_schedule_identically(self):
-        def run():
-            sim, transport = self._transport(seed=3)
-            received, on_message = _collector()
-            transport.attach("src", lambda e: None)
-            transport.attach("dst", on_message)
-            transport.send_many("src", ("dst",), b"hello")
-            sim.run_until(10.0)
-            return [(envelope.dst, envelope.payload, envelope.sent_at)
-                    for envelope in received]
-
-        fast = run()
-        previous = fastpath.set_slow_path(True)
-        try:
-            slow = run()
-        finally:
-            fastpath.set_slow_path(previous)
-        assert fast == slow
-
     def test_late_installed_tap_sees_in_flight_messages(self):
-        """A delivery tap installed while a fast-path message is in
-        flight must still intercept it (the closure used to late-bind
-        _deliver; _dispatch must too)."""
+        """A delivery tap installed while a message is in flight must
+        still intercept it (_dispatch late-binds _deliver)."""
         sim, transport = self._transport()
         received, on_message = _collector()
         transport.attach("src", lambda e: None)
@@ -158,24 +137,3 @@ class TestSendMany:
         transport._deliver = tap
         sim.run_until(10.0)
         assert len(tapped) == 1 and len(received) == 1
-
-
-class TestSlowPathFlag:
-    def test_flag_round_trip(self):
-        assert not fastpath.slow_path_enabled()
-        previous = fastpath.set_slow_path(True)
-        assert previous is False
-        assert fastpath.slow_path_enabled()
-        fastpath.set_slow_path(False)
-        assert not fastpath.slow_path_enabled()
-
-    def test_context_manager_restores(self):
-        with fastpath.use_slow_path():
-            assert fastpath.slow_path_enabled()
-        assert not fastpath.slow_path_enabled()
-
-    def test_transport_samples_flag_at_construction(self):
-        with fastpath.use_slow_path():
-            sim = Simulator(seed=1)
-            transport = Transport(sim)
-        assert transport._slow is True

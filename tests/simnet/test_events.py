@@ -1,13 +1,14 @@
-"""Tests for the event queue."""
+"""Tests for the event queue's generic behaviour."""
 
 import pytest
 
-from repro.simnet.events import Event, EventQueue
+from repro.simnet.events import Event
+from repro.simnet.sched import TieredEventQueue
 
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         order = []
         queue.push(3.0, lambda: order.append("c"))
         queue.push(1.0, lambda: order.append("a"))
@@ -17,7 +18,7 @@ class TestEventQueue:
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         order = []
         for label in "abcde":
             queue.push(1.0, lambda label=label: order.append(label))
@@ -26,65 +27,47 @@ class TestEventQueue:
         assert order == list("abcde")
 
     def test_len_tracks_live_events(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
-        event.cancel()
-        queue.note_cancelled()
+        queue.cancel(event)
         assert len(queue) == 1
 
-    def test_tier_split_is_all_near(self):
-        # the heap has no wheel: near_depth mirrors the live depth and
-        # wheel_depth is 0, so near + wheel == depth holds on this twin
-        # exactly as it does on the tiered queue
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(1_000_000.0, lambda: None)  # far future: still near
-        assert queue.near_depth == 2
-        assert queue.wheel_depth == 0
-        assert queue.near_depth + queue.wheel_depth == len(queue)
-        event.cancel()
-        queue.note_cancelled()
-        assert queue.near_depth == 1
-        assert queue.near_depth + queue.wheel_depth == len(queue)
-
     def test_cancelled_events_skipped(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         fired = []
         event = queue.push(1.0, lambda: fired.append(1))
         queue.push(2.0, lambda: fired.append(2))
-        event.cancel()
-        queue.note_cancelled()
+        queue.cancel(event)
         while (item := queue.pop()) is not None:
             item.callback()
         assert fired == [2]
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
-        first.cancel()
-        queue.note_cancelled()
+        queue.cancel(first)
         assert queue.peek_time() == 5.0
 
     def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+        assert TieredEventQueue().peek_time() is None
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        assert TieredEventQueue().pop() is None
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(-1.0, lambda: None)
+            TieredEventQueue().push(-1.0, lambda: None)
 
     def test_label_preserved(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         event = queue.push(1.0, lambda: None, label="tick")
         assert event.label == "tick"
 
     def test_cancel_method_is_idempotent(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         queue.cancel(event)
@@ -95,7 +78,7 @@ class TestEventQueue:
     def test_peek_and_pop_agree_on_cancelled_head(self):
         # peek must never report the time of a cancelled event that pop
         # would then silently discard
-        queue = EventQueue()
+        queue = TieredEventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         queue.cancel(first)
@@ -105,7 +88,7 @@ class TestEventQueue:
         assert popped is not None and popped.time == peeked
 
     def test_pop_keeps_len_consistent_with_cancellations(self):
-        queue = EventQueue()
+        queue = TieredEventQueue()
         events = [queue.push(float(i), lambda: None) for i in range(10)]
         for event in events[::2]:
             queue.cancel(event)
@@ -120,34 +103,3 @@ class TestEventQueue:
         assert not hasattr(event, "__dict__")
         with pytest.raises(AttributeError):
             event.arbitrary = 1
-
-
-class TestCompaction:
-    def test_heavy_cancellation_triggers_compaction(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(256)]
-        for event in events[: 200]:
-            queue.cancel(event)
-        assert queue.compactions >= 1
-        assert len(queue) == 56
-        assert len(queue._heap) < 100  # dead weight actually removed
-
-    def test_compaction_preserves_pop_order(self):
-        queue = EventQueue()
-        events = [queue.push(float(i % 7), lambda: None)
-                  for i in range(300)]
-        for event in events[::3] + events[1::3]:
-            queue.cancel(event)
-        expected = sorted((e.time, e.seq) for e in events[2::3])
-        popped = []
-        while (event := queue.pop()) is not None:
-            popped.append((event.time, event.seq))
-        assert popped == expected
-
-    def test_small_heaps_never_compact(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(20)]
-        for event in events:
-            queue.cancel(event)
-        assert queue.compactions == 0
-        assert queue.pop() is None

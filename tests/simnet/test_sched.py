@@ -3,23 +3,22 @@
 The centrepiece is a randomized differential harness: arbitrary
 schedule/cancel/pop/peek programs -- including past-horizon
 re-laddering, overflow residency and mass cancellation -- executed
-against the reference heap and the tiered queue in lockstep, asserting
-identical pop order and identical accounting at every step.  The unit
-tests then pin the structural edges individually: bucket overflow,
-wheel cascades, whole-bucket tombstone skips, straggler merging and the
-windowed kernel drain.
+against a ``heapq`` oracle (:mod:`.heap_oracle`) and the tiered queue
+in lockstep, asserting identical pop order and identical accounting at
+every step.  The unit tests then pin the structural edges
+individually: bucket overflow, wheel cascades, whole-bucket tombstone
+skips, straggler merging and the windowed kernel drain.
 """
 
 import random
 
 import pytest
 
-from repro.devtools.sanitizer import digest_telemetry
-from repro.simnet import fastpath
-from repro.simnet.events import EventQueue
 from repro.simnet.kernel import Simulator
 from repro.simnet.sched import (LEVEL_WIDTHS, NEAR_SPAN, WHEEL_SLOTS,
                                 TieredEventQueue)
+
+from .heap_oracle import HeapOracle
 
 #: past every wheel level's reach from time zero -- lands in overflow
 BEYOND_WHEELS = NEAR_SPAN + LEVEL_WIDTHS[-1] * WHEEL_SLOTS + 1.0
@@ -36,11 +35,11 @@ def drain(queue):
 
 
 class TestDifferential:
-    """Random programs against the reference heap, step-for-step."""
+    """Random programs against the heap oracle, step-for-step."""
 
     def _run_trial(self, seed):
         rng = random.Random(seed)
-        heap, tier = EventQueue(), TieredEventQueue()
+        heap, tier = HeapOracle(), TieredEventQueue()
         now = [0.0]
         pairs = []
         fired_h, fired_t = [], []
@@ -105,46 +104,13 @@ class TestDifferential:
     def test_random_program_matches_heap(self, seed):
         self._run_trial(seed)
 
-    def test_kernel_digest_identical_across_twins(self):
-        """Same campaign, both schedulers, telemetry on: same digest."""
-
-        def run(slow_path):
-            fastpath.set_slow_path(slow_path)
-            try:
-                telemetry = digest_telemetry()
-                sim = Simulator(seed=5, telemetry=telemetry)
-            finally:
-                fastpath.set_slow_path(False)
-            stream = sim.stream("load")
-
-            def tick(i):
-                if i % 3 == 0:
-                    handle = sim.after(stream.uniform(0.1, 400.0),
-                                       lambda: None, label="retry")
-                    if i % 6 == 0:
-                        sim.cancel(handle)
-                if i % 7 == 0:
-                    sim.after(stream.uniform(0.0, 0.5),
-                              lambda: None, label="deliver")
-
-            for i in range(300):
-                sim.at(stream.uniform(0.0, 200.0), lambda i=i: tick(i),
-                       label="seed")
-            sim.run_until(50.0)
-            sim.run_all()
-            return telemetry.hexdigest(), sim.events_processed
-
-        assert run(False) == run(True)
-
 
 class TestTierInvariant:
-    """near + wheel == depth must hold on both scheduler twins."""
+    """near + wheel == depth must hold at every step."""
 
-    @pytest.mark.parametrize("factory", [TieredEventQueue, EventQueue],
-                             ids=["tiered", "heap"])
-    def test_twin_consistent_tier_split(self, factory):
+    def test_tier_split_matches_depth(self):
         rng = random.Random(29)
-        queue = factory()
+        queue = TieredEventQueue()
         live = []
         for step in range(400):
             action = rng.random()
@@ -268,8 +234,8 @@ class TestWindowEdges:
         assert queue.pop() is None
 
     def test_cancel_after_fire_leaves_counters_alone(self):
-        # the twin-consistency rule: cancelling a fired event marks it
-        # but must not disturb live/dead/cancelled accounting
+        # cancelling a fired event marks it but must not disturb
+        # live/dead/cancelled accounting
         queue = TieredEventQueue()
         event = queue.push(1.0, lambda: None)
         assert queue.pop() is event

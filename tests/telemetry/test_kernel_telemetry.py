@@ -116,26 +116,6 @@ class TestGauges:
         assert (registry.get("sim_queue_cancelled_total").value
                 == sim.queue.cancelled_total)
 
-    def test_heap_twin_tier_split_is_all_near(self, registry):
-        # the heap has no wheel: every live event is near, so the
-        # near + wheel == depth invariant holds on this twin too
-        from repro.simnet import fastpath
-        from repro.simnet.events import EventQueue
-
-        telemetry = KernelTelemetry(registry)
-        fastpath.set_slow_path(True)
-        try:
-            sim = Simulator(seed=3, telemetry=telemetry)
-        finally:
-            fastpath.set_slow_path(False)
-        assert isinstance(sim.queue, EventQueue)
-        sim.at(1.0, lambda: None, label="near")
-        sim.at(100_000.0, lambda: None, label="far")
-        sim.run_until(0.5)
-        assert registry.get("sim_queue_depth").value == 2
-        assert registry.get("sim_queue_near_depth").value == 2
-        assert registry.get("sim_queue_wheel_depth").value == 0
-
     def test_sample_interval_gauge_registered(self, registry):
         KernelTelemetry(registry, sample_every=32)
         assert (registry.get("sim_callback_sample_interval").value

@@ -58,6 +58,15 @@ def test_full_study(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "openft.jsonl").exists()
 
 
+def test_full_study_short_run_without_openft_malware(monkeypatch, capsys,
+                                                     tmp_path):
+    # 0.1 days at seed 2 collects no OpenFT malware: T4/F4 fall back to
+    # all strains instead of crashing
+    output = run_example(monkeypatch, capsys, "full_study.py",
+                         "--days", "0.1", "--out", str(tmp_path))
+    assert "F4 (openft): host CDF" in output
+
+
 def test_investigate_host(monkeypatch, capsys):
     output = run_example(monkeypatch, capsys, "investigate_host.py")
     assert "top strain" in output
