@@ -11,24 +11,35 @@ The hash is the canonical QRP function (multiplicative hashing with
 A = 0x4F1BBCDC, taking the top ``bits`` bits), and route tables ship as
 RESET + uncompressed PATCH messages framed per the QRP spec's descriptor
 type 0x30.
+
+A table is held as the set of its set slots plus an all-ones flag: a leaf
+shares tens of tokens, not 2^16, so matching a query is a subset check
+and the 2^bits-entry bitmap exists only inside :meth:`to_messages` and
+:meth:`from_messages`.  Each distinct token is hashed once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Set
 
 from ..files.names import tokenize
 
-__all__ = ["DEFAULT_TABLE_BITS", "qrp_hash", "QueryRouteTable",
-           "QrpReset", "QrpPatch", "encode_qrp", "decode_qrp"]
+__all__ = ["DEFAULT_TABLE_BITS", "qrp_hash", "query_slots",
+           "QueryRouteTable", "QrpReset", "QrpPatch", "encode_qrp",
+           "decode_qrp"]
 
 #: 2^16 slots, Limewire's default leaf table size.
 DEFAULT_TABLE_BITS = 16
 
 _GOLDEN = 0x4F1BBCDC  # 2^32 * (sqrt(5)-1)/2, per the QRP spec
 _MIN_TOKEN_LENGTH = 3  # servents ignored 1-2 letter tokens
+#: the only patch entry width :meth:`QueryRouteTable.to_messages` writes
+_ENTRY_BITS = 8
+#: ``bytes.translate`` table mapping every set entry (non-zero) to 0x01
+_SET_TO_ONE = b"\x00" + b"\x01" * 255
 
 
 def qrp_hash(token: str, bits: int = DEFAULT_TABLE_BITS) -> int:
@@ -46,51 +57,107 @@ def qrp_hash(token: str, bits: int = DEFAULT_TABLE_BITS) -> int:
     return product >> (32 - bits)
 
 
-def _routable_tokens(text: str) -> List[str]:
-    return [token for token in tokenize(text)
-            if len(token) >= _MIN_TOKEN_LENGTH]
+@functools.lru_cache(maxsize=1 << 13)
+def _token_hash(token: str) -> int:
+    """``qrp_hash(token, 32)``, computed once per distinct token.
+
+    A token's slot in a 2^bits table is the top ``bits`` bits of this
+    word, so one memo serves every table size.  A miss looks ``qrp_hash``
+    up by name, so rebinding it (to count calls, say) sees every token
+    hashed.  Library names are drawn from a small vocabulary; the bound
+    only caps a process that meets unbounded distinct tokens.
+    """
+    return qrp_hash(token, 32)
+
+
+def _token_slots(tokens: Iterable[str], bits: int) -> Set[int]:
+    """Slots of the routable (3+ letter) ``tokens`` in a 2^bits table."""
+    shift = 32 - bits
+    return {_token_hash(token) >> shift for token in tokens
+            if len(token) >= _MIN_TOKEN_LENGTH}
+
+
+def query_slots(query: str,
+                bits: int = DEFAULT_TABLE_BITS) -> Optional[Set[int]]:
+    """The slots ``query``'s routable tokens hash to in a 2^bits table.
+
+    ``None`` when the query has no routable token: such queries (urn-only
+    ones, or only 1-2 letter words) are forwarded to every leaf.
+    """
+    return _token_slots(tokenize(query), bits) or None
+
+
+def _nonzero_offsets(bitmap: bytes) -> Set[int]:
+    """Offsets of ``bitmap``'s set (non-zero) entries.
+
+    memchr finds each 0x01 entry; when the bitmap rebuilt from those
+    offsets compares equal, no entry holds another non-zero value, so
+    only a bitmap that does pays for mapping its entries to 0x01 first.
+    """
+    slots = set()
+    index = bitmap.find(1)
+    while index != -1:
+        slots.add(index)
+        index = bitmap.find(1, index + 1)
+    rebuilt = bytearray(len(bitmap))
+    for slot in slots:
+        rebuilt[slot] = 1
+    if rebuilt != bitmap:
+        return _nonzero_offsets(bitmap.translate(_SET_TO_ONE))
+    return slots
 
 
 class QueryRouteTable:
-    """A leaf's keyword bitmap."""
+    """A leaf's keyword table: its set slots, or all of them."""
 
     def __init__(self, bits: int = DEFAULT_TABLE_BITS) -> None:
+        if not 0 < bits <= 32:
+            raise ValueError(f"bits must be in 1..32, got {bits!r}")
         self.bits = bits
         self.size = 1 << bits
-        self._slots = bytearray(self.size)
+        self._slots: Set[int] = set()
         self._all_ones = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryRouteTable):
             return NotImplemented
         return (self.bits == other.bits and self._all_ones == other._all_ones
-                and self._slots == other._slots)
+                and (self._all_ones or self._slots == other._slots))
 
     @property
     def set_count(self) -> int:
         """Number of set slots (diagnostics / tests)."""
-        return self.size if self._all_ones else sum(self._slots)
+        return self.size if self._all_ones else len(self._slots)
 
     def add_keyword(self, token: str) -> None:
         """Mark one keyword present."""
-        self._slots[qrp_hash(token, self.bits)] = 1
+        self._slots.add(_token_hash(token) >> (32 - self.bits))
+
+    def add_tokens(self, tokens: Iterable[str]) -> None:
+        """Mark every routable token of an already-tokenized name set
+        (a library's token index)."""
+        self._slots |= _token_slots(tokens, self.bits)
 
     def add_name(self, name: str) -> None:
         """Mark every routable token of a file name."""
-        for token in _routable_tokens(name):
-            self.add_keyword(token)
+        self.add_tokens(tokenize(name))
 
     def build_from(self, names: Iterable[str]) -> None:
         """(Re)build from a library's file names."""
-        self._slots = bytearray(self.size)
+        self._slots = set()
         self._all_ones = False
         for name in names:
             self.add_name(name)
 
     def mark_all(self) -> None:
         """Set every slot -- the echo-worm trick to receive all queries."""
-        self._slots = bytearray(b"\x01" * self.size)
+        self._slots = set()
         self._all_ones = True
+
+    def admits(self, slots: Optional[AbstractSet[int]]) -> bool:
+        """QRP forwarding decision for a query whose :func:`query_slots`
+        in a table of this size are ``slots``."""
+        return self._all_ones or slots is None or slots <= self._slots
 
     def might_match(self, query: str) -> bool:
         """QRP forwarding decision for ``query``.
@@ -99,12 +166,7 @@ class QueryRouteTable:
         routable token are conservatively forwarded (spec behaviour for
         urn-only queries).
         """
-        if self._all_ones:
-            return True
-        tokens = _routable_tokens(query)
-        if not tokens:
-            return True
-        return all(self._slots[qrp_hash(token, self.bits)] for token in tokens)
+        return self.admits(query_slots(query, self.bits))
 
     # -- wire form ---------------------------------------------------------
     def to_messages(self, fragment_slots: int = 2048,
@@ -115,38 +177,67 @@ class QueryRouteTable:
         negotiated this; mostly-empty leaf tables compress enormously).
         """
         compressor = COMPRESSOR_ZLIB if compress else COMPRESSOR_NONE
-        patches: List[QrpPatch] = []
-        fragments = [self._slots[start:start + fragment_slots]
-                     for start in range(0, self.size, fragment_slots)]
-        for index, fragment in enumerate(fragments):
-            patches.append(QrpPatch(
-                sequence_number=index + 1,
-                sequence_count=len(fragments),
-                entry_bits=8,
-                data=bytes(fragment),
-                compressor=compressor,
-            ))
-        return [QrpReset(table_length=self.size, infinity=7), *patches]
+        if self._all_ones:
+            bitmap = b"\x01" * self.size
+        else:
+            bitmap = bytearray(self.size)
+            for slot in self._slots:
+                bitmap[slot] = 1
+        view = memoryview(bitmap)
+        starts = range(0, self.size, fragment_slots)
+        return [QrpReset(self.size, 7), *[
+            QrpPatch(number, len(starts), _ENTRY_BITS,
+                     bytes(view[start:start + fragment_slots]), compressor)
+            for number, start in enumerate(starts, 1)]]
 
     @staticmethod
     def from_messages(messages: Iterable) -> "QueryRouteTable":
-        """Rebuild a table from a RESET + PATCH stream."""
-        table: QueryRouteTable = QueryRouteTable()
-        cursor = 0
+        """Rebuild a table from a RESET + PATCH stream.
+
+        Raises ``ValueError`` for a stream that does not open with a
+        RESET, a table length that is not a power of two, a patch out of
+        its 1..N sequence, a sequence count that changes mid-stream,
+        entries that are not 8-bit, or patches that overrun the table.
+        Memory follows the patch bytes received, not the declared length.
+        """
+        table: Optional[QueryRouteTable] = None
+        received = bytearray()
+        count = expected = 0
         for message in messages:
-            if isinstance(message, QrpReset):
-                bits = message.table_length.bit_length() - 1
-                table = QueryRouteTable(bits=bits)
-                cursor = 0
-            elif isinstance(message, QrpPatch):
-                end = cursor + len(message.data)
-                if end > table.size:
+            if isinstance(message, QrpPatch):
+                if table is None:
+                    raise ValueError("QRP stream must open with a RESET")
+                if expected == 1:
+                    count = message.sequence_count
+                elif message.sequence_count != count:
+                    raise ValueError("QRP sequence count changed mid-stream")
+                if message.sequence_number != expected or expected > count:
+                    raise ValueError(
+                        f"QRP patch {message.sequence_number} out of "
+                        f"sequence (expected {expected} of {count})")
+                if message.entry_bits != _ENTRY_BITS:
+                    raise ValueError(
+                        f"unsupported QRP entry_bits {message.entry_bits}")
+                if len(received) + len(message.data) > table.size:
                     raise ValueError("QRP patch overruns table")
-                table._slots[cursor:end] = message.data
-                cursor = end
+                received += message.data
+                expected += 1
+            elif isinstance(message, QrpReset):
+                length = message.table_length
+                if length <= 0 or length & (length - 1):
+                    raise ValueError(
+                        f"QRP table length {length} is not a power of two")
+                table = QueryRouteTable(bits=length.bit_length() - 1)
+                received = bytearray()
+                count, expected = 0, 1
             else:
                 raise TypeError(f"not a QRP message: {message!r}")
-        table._all_ones = all(table._slots)
+        if table is None:
+            raise ValueError("QRP stream must open with a RESET")
+        if len(received) == table.size and 0 not in received:
+            table._all_ones = True
+        else:
+            table._slots = _nonzero_offsets(received)
         return table
 
 
@@ -214,7 +305,7 @@ def decode_qrp(payload: bytes):
         if len(payload) < 6:
             raise ValueError("short QRP reset")
         table_length, infinity = struct.unpack_from("<IB", payload, 1)
-        return QrpReset(table_length=table_length, infinity=infinity)
+        return QrpReset(table_length, infinity)
     if variant == QrpPatch.variant:
         if len(payload) < 5:
             raise ValueError("short QRP patch")
@@ -228,8 +319,6 @@ def decode_qrp(payload: bytes):
                 raise ValueError("corrupt zlib QRP patch") from exc
         elif compressor != COMPRESSOR_NONE:
             raise ValueError(f"unsupported QRP compressor {compressor}")
-        return QrpPatch(sequence_number=sequence_number,
-                        sequence_count=sequence_count,
-                        entry_bits=entry_bits, data=body,
-                        compressor=compressor)
+        return QrpPatch(sequence_number, sequence_count, entry_bits, body,
+                        compressor)
     raise ValueError(f"unknown QRP variant {variant}")

@@ -16,7 +16,7 @@ table is all-ones so that *every* query reaches it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from ..files.library import SharedFile, SharedLibrary
 from ..malware.infection import HostInfection
@@ -33,7 +33,7 @@ from .guid import GUID_LENGTH, new_guid
 from .messages import (Bye, FrameCache, Header, HitResult, MessageError,
                        Ping, Pong, Query, QueryHit, frame, parse_header,
                        patch_ttl_hops)
-from .qrp import QueryRouteTable
+from .qrp import QueryRouteTable, query_slots
 
 __all__ = ["ServentStats", "GnutellaServent"]
 
@@ -139,13 +139,13 @@ class GnutellaServent:
         """The QRT this servent advertises to its ultrapeers.
 
         Echo-infected hosts advertise an all-ones table; honest hosts hash
-        their shared names.
+        the tokens of their shared names, read from the library's index.
         """
         table = QueryRouteTable()
         if self.infection is not None and self.infection.echo_strains:
             table.mark_all()
         else:
-            table.build_from(shared.name for shared in self.library)
+            table.add_tokens(self.library.all_tokens())
         return table
 
     def install_leaf_table(self, leaf_id: str,
@@ -313,10 +313,15 @@ class GnutellaServent:
                            raw: bytes) -> None:
         # leaves are last-hop deliveries regardless of remaining TTL
         leaf_frame = patch_ttl_hops(raw, 1, header.hops + 1)
+        # the query's slots, hashed once per table size (in practice one)
+        wanted: Dict[int, Optional[AbstractSet[int]]] = {}
         for leaf_id, table in self.leaf_tables.items():
             if leaf_id == src:
                 continue
-            if table.might_match(query.criteria):
+            bits = table.bits
+            if bits not in wanted:
+                wanted[bits] = query_slots(query.criteria, bits)
+            if table.admits(wanted[bits]):
                 self.transport.send(self.endpoint_id, leaf_id, leaf_frame)
                 self.stats.queries_forwarded_leaves += 1
 

@@ -53,8 +53,11 @@ def _run_handshake(initiator: GnutellaServent,
 def sync_leaf_qrt(leaf: GnutellaServent, ultrapeer: GnutellaServent) -> None:
     """Ship the leaf's QRT to an ultrapeer through the QRP wire form.
 
-    Also used at runtime when a leaf's library changes (e.g. a latent host
-    becomes infected and must re-advertise an all-ones table).
+    Runs whenever a leaf's session with a shield comes up: at attach, and
+    on every churn reconnect -- the shield dropped the table on the leaf's
+    Bye, so the leaf re-advertises it; most calls are these.  A latent
+    host that becomes infected re-advertises too (an echo strain's table
+    is all-ones).
     """
     wire = [encode_qrp(message) for message in
             leaf.build_route_table().to_messages()]
