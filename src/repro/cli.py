@@ -860,11 +860,22 @@ def _render(store: MeasurementStore, table: str, days: float) -> str:
     raise ValueError(f"unknown table {table!r}")
 
 
+def _open_store(path: Path) -> Optional[MeasurementStore]:
+    """The store saved at ``path``, or None once the error is printed."""
+    if not path.exists():
+        print(f"error: store {path} does not exist", file=sys.stderr)
+        return None
+    try:
+        return MeasurementStore.load(path)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if not args.store.exists():
-        print(f"error: store {args.store} does not exist", file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
-    store = MeasurementStore.load(args.store)
     tables = _TABLES if args.table == "all" else (args.table,)
     for index, table in enumerate(tables):
         if index:
@@ -877,10 +888,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_eval(args: argparse.Namespace) -> int:
-    if not args.store.exists():
-        print(f"error: store {args.store} does not exist", file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
-    store = MeasurementStore.load(args.store)
     try:
         size_filter = SizeBasedFilter.learn(store, top_n=args.top_n,
                                             coverage=args.coverage)
@@ -898,12 +908,11 @@ def _cmd_filter_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if not args.store.exists():
-        print(f"error: store {args.store} does not exist", file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
     from .core.export import export_all
 
-    store = MeasurementStore.load(args.store)
     written = export_all(store, args.out)
     for experiment_id, path in sorted(written.items()):
         print(f"{experiment_id}: {path}")

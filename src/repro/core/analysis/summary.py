@@ -44,7 +44,7 @@ class CollectionSummary:
 def summarize_collection(store: MeasurementStore,
                          duration_days: float) -> CollectionSummary:
     """Compute T1 for one campaign's store."""
-    typed = store.records(lambda r: r.counts_as_downloadable_type)
+    typed = store.downloadable_type_responses()
     downloaded = [record for record in typed if record.downloaded]
     malicious = [record for record in downloaded if record.is_malicious]
     return CollectionSummary(

@@ -7,6 +7,7 @@ as passive worms recruit hosts), not an artifact of a lucky day.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List
 
@@ -32,18 +33,16 @@ class DailyPoint:
 
 def daily_series(store: MeasurementStore) -> List[DailyPoint]:
     """Compute F3 (one point per virtual day, gaps filled with zeros)."""
-    by_day = store.by_day()
-    if not by_day:
+    responses = Counter(record.day for record in store)
+    if not responses:
         return []
-    points: List[DailyPoint] = []
-    for day in range(max(by_day) + 1):
-        records = by_day.get(day, [])
-        downloadable = [record for record in records
-                        if record.counts_as_downloadable_type
-                        and record.downloaded]
-        malicious = [record for record in downloadable
-                     if record.is_malicious]
-        points.append(DailyPoint(day=day, responses=len(records),
-                                 downloadable=len(downloadable),
-                                 malicious=len(malicious)))
-    return points
+    downloadable: Counter = Counter()
+    malicious: Counter = Counter()
+    for record in store.downloadable_responses():
+        downloadable[record.day] += 1
+        if record.is_malicious:
+            malicious[record.day] += 1
+    return [DailyPoint(day=day, responses=responses[day],
+                       downloadable=downloadable[day],
+                       malicious=malicious[day])
+            for day in range(max(responses) + 1)]

@@ -11,7 +11,7 @@ alone, with the simulator's ground truth used only by tests.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ...files.types import is_downloadable_type, type_for_extension
@@ -83,12 +83,24 @@ class ResponseRecord:
 
     # -- persistence -----------------------------------------------------
     def to_json(self) -> str:
-        """One JSON line (the store's on-disk format)."""
-        return json.dumps(asdict(self), separators=(",", ":"),
-                          sort_keys=True)
+        """One JSON line (the store's on-disk format).
+
+        The bytes are those of ``json.dumps(asdict(record),
+        sort_keys=True, separators=(",", ":"))``: every field is a str,
+        number, bool or None, so encoding the values in sorted key order
+        skips ``asdict``'s deep copy and changes nothing on disk.
+        """
+        return _ENCODER.encode({name: getattr(self, name)
+                                for name in _SORTED_FIELDS})
 
     @staticmethod
     def from_json(line: str) -> "ResponseRecord":
         """Parse a JSON line back into a record."""
         data = json.loads(line)
         return ResponseRecord(**data)
+
+
+#: field names in the order ``sort_keys=True`` would emit them
+_SORTED_FIELDS = tuple(sorted(field.name
+                              for field in fields(ResponseRecord)))
+_ENCODER = json.JSONEncoder(separators=(",", ":"))

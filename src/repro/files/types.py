@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..simnet.rng import SeededStream
 
@@ -56,6 +56,11 @@ _EXTENSION_TO_TYPE: Dict[str, FileType] = {
     for file_type, extensions in TYPE_EXTENSIONS.items()
     for extension, _ in extensions
 }
+
+#: the extensions whose type is in the archive/executable subset
+_DOWNLOADABLE_EXTENSIONS: FrozenSet[str] = frozenset(
+    extension for extension, file_type in _EXTENSION_TO_TYPE.items()
+    if file_type.counted_as_downloadable)
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,12 @@ def type_for_extension(extension: str) -> FileType:
 
 
 def is_downloadable_type(extension: str) -> bool:
-    """True when the extension belongs to the archive/executable subset."""
-    return type_for_extension(extension).counted_as_downloadable
+    """True when the extension belongs to the archive/executable subset.
+
+    Same answer as ``type_for_extension(extension).counted_as_downloadable``
+    (unknown extensions are documents), as one set lookup.
+    """
+    return extension.lower().lstrip(".") in _DOWNLOADABLE_EXTENSIONS
 
 
 def draw_size(file_type: FileType, stream: SeededStream) -> int:

@@ -30,13 +30,14 @@ this package stays at the bottom of the layer DAG.
 
 from .doctor import ArtifactReport, DoctorReport, run_doctor
 from .store import (FrameScan, atomic_write_bytes, atomic_write_text,
-                    frame_line, parse_frame, scan_frames, DurableAppender,
-                    recover_frames)
+                    atomic_writer, frame_line, parse_frame, scan_frames,
+                    DurableAppender, recover_frames)
 from .supervisor import (HostIntervention, SupervisionPolicy, SupervisedKill,
                          supervised_map)
 
 __all__ = [
-    "atomic_write_bytes", "atomic_write_text", "frame_line", "parse_frame",
+    "atomic_writer", "atomic_write_bytes", "atomic_write_text",
+    "frame_line", "parse_frame",
     "scan_frames", "recover_frames", "FrameScan", "DurableAppender",
     "SupervisionPolicy", "HostIntervention", "SupervisedKill",
     "supervised_map",

@@ -3,7 +3,8 @@
 Two write disciplines cover every artifact the pipeline produces:
 
 * **Whole-file artifacts** (``BENCH_<rev>.json``, trace exports, SARIF
-  logs, Prometheus textfiles) go through :func:`atomic_write_text` /
+  logs, Prometheus textfiles, measurement stores) go through
+  :func:`atomic_writer` (streamed) or :func:`atomic_write_text` /
   :func:`atomic_write_bytes`: the bytes land in a same-directory temp
   file, are fsynced, and only then ``os.replace``d over the target.
   An interrupt at any byte offset leaves either the old file or the
@@ -26,13 +27,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 __all__ = ["FrameError", "FrameScan", "frame_line", "parse_frame",
-           "scan_frames", "recover_frames", "atomic_write_bytes",
-           "atomic_write_text", "DurableAppender"]
+           "scan_frames", "recover_frames", "atomic_writer",
+           "atomic_write_bytes", "atomic_write_text", "DurableAppender"]
 
 
 class FrameError(ValueError):
@@ -210,35 +212,49 @@ def recover_frames(path: Path, repair: bool = False,
     return scan
 
 
-def atomic_write_bytes(path: Path, data: bytes, io=None,
-                       fsync: bool = True) -> Path:
-    """Write ``data`` to ``path`` so an interrupt never leaves a torn file.
+@contextmanager
+def atomic_writer(path: Path, fsync: bool = True) -> Iterator[BinaryIO]:
+    """Stream bytes to ``path`` so an interrupt never leaves a torn file.
 
-    The bytes go to a same-directory temp file first (rename across
-    filesystems is not atomic), are flushed and fsynced, and then
-    ``os.replace`` the target in one step.  On any failure the temp
-    file is removed and the previous target content survives intact.
+    Yields a binary handle on a same-directory temp file (rename across
+    filesystems is not atomic).  When the body returns, the file is
+    flushed and fsynced and then ``os.replace``s the target in one step;
+    when anything raises, the temp file is removed and the previous
+    target content survives intact.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    hook = io if io is not None else _NULL_IO
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        payload, error = hook.apply_write(path, data)
         with tmp.open("wb") as handle:
-            handle.write(payload)
+            yield handle
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
-        hook.on_fsync(path)
-        if error is not None:
-            raise error
         os.replace(tmp, path)
     finally:
         try:
             tmp.unlink()
         except OSError:
             pass
+
+
+def atomic_write_bytes(path: Path, data: bytes, io=None,
+                       fsync: bool = True) -> Path:
+    """Write ``data`` to ``path`` through :func:`atomic_writer`.
+
+    The ``io`` hook decides what is actually written and may fail the
+    write after its fsync callback; either way the target is replaced
+    only by a complete, error-free write.
+    """
+    path = Path(path)
+    hook = io if io is not None else _NULL_IO
+    payload, error = hook.apply_write(path, data)
+    with atomic_writer(path, fsync=fsync) as handle:
+        handle.write(payload)
+        hook.on_fsync(path)
+        if error is not None:
+            raise error
     return path
 
 

@@ -12,6 +12,7 @@ the paper did.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass
 from typing import Iterator, Optional, Set, Tuple
@@ -57,17 +58,24 @@ def is_reserved(address: str) -> bool:
     return any(ip in network for network in _RESERVED)
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def classify_address(address: str) -> str:
     """Bucket an address the way the paper's source analysis does.
 
     Returns one of ``"private"``, ``"loopback"``, ``"reserved"``,
-    ``"public"``.
+    ``"public"`` (the first of :func:`is_loopback`, :func:`is_private`,
+    :func:`is_reserved` that holds).  The address is parsed once, and
+    each distinct one is classified once per process: a store holds a
+    few hundred responders behind tens of thousands of responses.  A
+    malformed address raises ``ValueError`` on every call (an
+    exception is never cached).
     """
-    if is_loopback(address):
+    ip = ipaddress.ip_address(address)
+    if ip in _LOOPBACK:
         return "loopback"
-    if is_private(address):
+    if any(ip in network for network in PRIVATE_NETWORKS):
         return "private"
-    if is_reserved(address):
+    if any(ip in network for network in _RESERVED):
         return "reserved"
     return "public"
 

@@ -151,6 +151,46 @@ class TestFilterEval:
         assert code == 2
 
 
+def _torn_mid_line(store, path):
+    lines = store.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:3]) + b"\n" + lines[3][:40])
+    return "line 4:"
+
+
+def _empty(store, path):
+    path.write_bytes(b"")
+    return "line 1:"
+
+
+def _header_without_queries_issued(store, path):
+    lines = store.read_text().splitlines()
+    path.write_text("\n".join(['{"store_network":"limewire"}'] + lines[1:])
+                    + "\n")
+    return "line 1: missing field 'queries_issued'"
+
+
+class TestMalformedStore:
+    """A damaged store is an error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("damage", [
+        _torn_mid_line, _empty, _header_without_queries_issued])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["filter-eval"], ["export", "--out", "{tmp}/csv"]],
+        ids=["analyze", "filter-eval", "export"])
+    def test_exits_2_with_error(self, saved_store, tmp_path, capsys,
+                                damage, argv):
+        path = tmp_path / "damaged.jsonl"
+        expected = damage(saved_store, path)
+        code = main([argv[0], str(path)]
+                    + [arg.format(tmp=tmp_path) for arg in argv[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed store {path}, ")
+        assert expected in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "csv").exists()
+
+
 class TestServe:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])

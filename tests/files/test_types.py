@@ -1,6 +1,8 @@
 """Tests for file types and size models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.files.types import (FileType, SIZE_MODELS, TYPE_EXTENSIONS,
                                draw_size, extension_for,
@@ -33,6 +35,16 @@ class TestTypeMapping:
     @pytest.mark.parametrize("extension", ["mp3", "avi", "jpg", "pdf", "xyz"])
     def test_not_downloadable_subset(self, extension):
         assert not is_downloadable_type(extension)
+
+    @given(st.one_of(
+        st.sampled_from([extension for extensions in TYPE_EXTENSIONS.values()
+                         for extension, _ in extensions]),
+        st.text(max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_downloadable_subset_matches_type_mapping(self, extension):
+        for variant in (extension, extension.upper(), "." + extension):
+            assert is_downloadable_type(variant) == (
+                type_for_extension(variant).counted_as_downloadable)
 
     def test_counted_as_downloadable_property(self):
         assert FileType.ARCHIVE.counted_as_downloadable

@@ -6,7 +6,8 @@ off, an armed fault plan and the sharded kernel.  Each entry records
 the measurement store's sha256 and the exact headline metrics; the
 telemetry entries add the kernel event-stream digest and event count
 (taken under the armed entropy sanitizer), the fault entry adds the
-injector tallies.  ``golden_campaigns.json`` holds the committed values
+injector tallies, and the two telemetry-off entries the sha256 of the
+``repro-study analyze`` report (all 14 tables) of their saved store.  ``golden_campaigns.json`` holds the committed values
 and ``test_golden.py`` demands every entry exactly.
 
 Any change to shared code that moves a single event, response or
@@ -19,14 +20,19 @@ old -> new headline metrics in the change description::
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import platform
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict
 
 import numpy
 
+from repro.cli import main as cli_main
 from repro.core.experiments import HEADLINE_METRICS
 from repro.core.measure.campaign import (CampaignConfig, default_profile,
                                          run_limewire_campaign,
@@ -75,6 +81,19 @@ def _headline(network: str, result) -> Dict[str, float]:
             for name, fn in HEADLINE_METRICS[network].items()}
 
 
+def _analyze_sha256(store) -> str:
+    """sha256 of ``repro-study analyze``'s stdout for ``store`` saved."""
+    report = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{store.network}.jsonl"
+        store.save(path)
+        with contextlib.redirect_stdout(report):
+            code = cli_main(["analyze", str(path), "--days", str(DAYS)])
+    if code != 0:
+        raise RuntimeError(f"repro-study analyze exited with {code}")
+    return hashlib.sha256(report.getvalue().encode("utf-8")).hexdigest()
+
+
 def fingerprint(case: Case) -> Dict[str, object]:
     """Run ``case`` and return its entry, in JSON form."""
     if case.kind == "digest":
@@ -100,6 +119,8 @@ def fingerprint(case: Case) -> Dict[str, object]:
                  "metrics": _headline(case.network, result)}
         if case.kind == "faults":
             entry["injected"] = dict(result.faults.injected)
+        if case.kind == "bare":
+            entry["analyze_sha256"] = _analyze_sha256(result.store)
     # the JSON round trip gives the exact form a loaded fixture has
     return json.loads(json.dumps(entry, sort_keys=True))
 

@@ -44,6 +44,70 @@ class TestClassification:
             "private", "public", "loopback", "reserved"}
 
 
+#: the networks whose boundaries the classification oracle draws
+_EDGE_NETWORKS = [ipaddress.ip_network(network) for network in (
+    "0.0.0.0/8", "127.0.0.0/8", "10.0.0.0/8", "172.16.0.0/12",
+    "192.168.0.0/16", "169.254.0.0/16", "224.0.0.0/4", "240.0.0.0/4")]
+#: each network's first and last address and its two outside neighbours
+_EDGES = sorted({
+    int(edge) + step
+    for network in _EDGE_NETWORKS
+    for edge, steps in ((network.network_address, (-1, 0, 1)),
+                        (network.broadcast_address, (-1, 0, 1)))
+    for step in steps
+    if 0 <= int(edge) + step < 2 ** 32})
+
+
+def _first_match(address: str) -> str:
+    """Classification through the three predicates, in priority order."""
+    if is_loopback(address):
+        return "loopback"
+    if is_private(address):
+        return "private"
+    if is_reserved(address):
+        return "reserved"
+    return "public"
+
+
+class TestClassificationOracle:
+    """``classify_address`` agrees with the predicates it summarizes."""
+
+    @given(st.one_of(st.sampled_from(_EDGES),
+                     st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_predicates(self, packed):
+        address = str(ipaddress.IPv4Address(packed))
+        assert classify_address(address) == _first_match(address)
+        # a second call (a memo hit) gives the same answer
+        assert classify_address(address) == _first_match(address)
+
+    def test_every_edge(self):
+        # the draws above may miss an edge; this pass may not
+        for packed in _EDGES:
+            address = str(ipaddress.IPv4Address(packed))
+            assert classify_address(address) == _first_match(address)
+
+    @pytest.mark.parametrize("address", [
+        "", "1.2.3", "1.2.3.4.5", "256.0.0.1", "01.2.3.4", "a.b.c.d",
+        "1.2.3.4 ", "example.org", "10.0.0.-1"])
+    def test_malformed_raises_every_call(self, address):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                classify_address(address)
+
+    @given(st.text(max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_classifies_or_raises(self, text):
+        try:
+            expected = _first_match(text)
+        except ValueError:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    classify_address(text)
+        else:
+            assert classify_address(text) == expected
+
+
 class TestAllocator:
     def make(self):
         return AddressAllocator(SeededStream(5, "addr"))
