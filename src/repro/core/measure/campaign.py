@@ -9,8 +9,10 @@ virtual days, download and scan every response, and return the filled
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from ...faults import FaultInjector, FaultPlan, FetchFaults
 from ...malware.corpus import limewire_strains, openft_strains
@@ -29,6 +31,10 @@ from .store import MeasurementStore
 
 __all__ = ["CampaignConfig", "CampaignResult", "default_profile",
            "run_limewire_campaign", "run_openft_campaign"]
+
+#: generation-0 collection threshold while a built world runs (CPython's
+#: default is 700); the run allocates little cyclic garbage per event
+RUN_GC_THRESHOLD0 = 20_000
 
 
 def default_profile(network: str, scale: float = 1.0):
@@ -175,6 +181,34 @@ def _export_transport(registry, transport) -> None:
         "Messages delivered by the transport.").inc(transport.delivered)
 
 
+@contextmanager
+def _frozen_world(build: Callable[..., BuiltWorld],
+                  *args) -> Iterator[BuiltWorld]:
+    """``build(*args)`` in a freshly collected heap, then run it frozen.
+
+    The collection before the build frees the previous campaign's world:
+    its cycles would otherwise wait for a full collection that the
+    frozen run postpones, and two worlds would share the heap.  After
+    the build every live object moves to the permanent generation, so
+    the run's collections scan only what the run allocates, and
+    generation 0 waits for :data:`RUN_GC_THRESHOLD0` allocations.  On
+    the way out, also when the campaign raises, the caller's thresholds
+    come back and the frozen objects return to the oldest generation.
+    Collection timing cannot change results: the package defines no
+    finalizer and holds no weak reference.
+    """
+    gc.collect()
+    world = build(*args)
+    thresholds = gc.get_threshold()
+    gc.freeze()
+    gc.set_threshold(RUN_GC_THRESHOLD0, *thresholds[1:])
+    try:
+        yield world
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.unfreeze()
+
+
 def _run(config: CampaignConfig, world: BuiltWorld, collector,
          workload: QueryWorkload,
          telemetry: Optional[CampaignTelemetry] = None) -> None:
@@ -221,29 +255,30 @@ def run_limewire_campaign(config: Optional[CampaignConfig] = None,
     sim = Simulator(seed=config.seed,
                     telemetry=telemetry.kernel if telemetry else None)
     horizon = days(config.duration_days)
-    world = build_gnutella_world(sim, profile, strains, horizon)
-    injector, fetch_faults = _arm_faults(config, world, registry)
+    with _frozen_world(build_gnutella_world, sim, profile, strains,
+                       horizon) as world:
+        injector, fetch_faults = _arm_faults(config, world, registry)
 
-    crawler = world.network.bootstrap_crawler("crawler",
-                                              _crawler_address(world))
-    store = MeasurementStore("limewire")
-    engine = ScanEngine(database_for_strains(strains,
-                                             config.scanner_coverage),
-                        registry=registry)
-    downloader = Downloader(sim, engine, config.download_policy,
-                            registry=registry, tracer=tracer,
-                            faults=fetch_faults)
-    collector = LimewireCollector(sim, world.network, crawler, store,
-                                  downloader, registry=registry,
-                                  tracer=tracer)
-    workload = QueryWorkload.from_catalog(
-        world.catalog, sim.stream("campaign:workload"),
-        popular_works=config.popular_works)
+        crawler = world.network.bootstrap_crawler("crawler",
+                                                  _crawler_address(world))
+        store = MeasurementStore("limewire")
+        engine = ScanEngine(database_for_strains(strains,
+                                                 config.scanner_coverage),
+                            registry=registry)
+        downloader = Downloader(sim, engine, config.download_policy,
+                                registry=registry, tracer=tracer,
+                                faults=fetch_faults)
+        collector = LimewireCollector(sim, world.network, crawler, store,
+                                      downloader, registry=registry,
+                                      tracer=tracer)
+        workload = QueryWorkload.from_catalog(
+            world.catalog, sim.stream("campaign:workload"),
+            popular_works=config.popular_works)
 
-    if telemetry is not None:
-        _install_journal(telemetry, sim, store, engine, downloader,
-                         until=horizon + config.drain_s)
-    _run(config, world, collector, workload, telemetry)
+        if telemetry is not None:
+            _install_journal(telemetry, sim, store, engine, downloader,
+                             until=horizon + config.drain_s)
+        _run(config, world, collector, workload, telemetry)
     return CampaignResult(store=store, world=world, config=config,
                           engine=engine, telemetry=telemetry,
                           faults=injector)
@@ -274,32 +309,34 @@ def run_openft_campaign(config: Optional[CampaignConfig] = None,
     sim = Simulator(seed=config.seed,
                     telemetry=telemetry.kernel if telemetry else None)
     horizon = days(config.duration_days)
-    world = build_openft_world(sim, profile, strains, horizon)
-    injector, fetch_faults = _arm_faults(config, world, registry)
-    # let child adoptions and initial share syncs settle before measuring
-    sim.run_until(300.0)
+    with _frozen_world(build_openft_world, sim, profile, strains,
+                       horizon) as world:
+        injector, fetch_faults = _arm_faults(config, world, registry)
+        # let child adoptions and initial share syncs settle before
+        # measuring
+        sim.run_until(300.0)
 
-    crawler = world.network.bootstrap_crawler("crawler",
-                                              _crawler_address(world))
-    sim.run_until(sim.now + 60.0)  # node-list discovery + adoption
-    store = MeasurementStore("openft")
-    engine = ScanEngine(database_for_strains(strains,
-                                             config.scanner_coverage),
-                        registry=registry)
-    downloader = Downloader(sim, engine, config.download_policy,
-                            registry=registry, tracer=tracer,
-                            faults=fetch_faults)
-    collector = OpenFTCollector(sim, world.network, crawler, store,
-                                downloader, registry=registry,
-                                tracer=tracer)
-    workload = QueryWorkload.from_catalog(
-        world.catalog, sim.stream("campaign:workload"),
-        popular_works=config.popular_works)
+        crawler = world.network.bootstrap_crawler("crawler",
+                                                  _crawler_address(world))
+        sim.run_until(sim.now + 60.0)  # node-list discovery + adoption
+        store = MeasurementStore("openft")
+        engine = ScanEngine(database_for_strains(strains,
+                                                 config.scanner_coverage),
+                            registry=registry)
+        downloader = Downloader(sim, engine, config.download_policy,
+                                registry=registry, tracer=tracer,
+                                faults=fetch_faults)
+        collector = OpenFTCollector(sim, world.network, crawler, store,
+                                    downloader, registry=registry,
+                                    tracer=tracer)
+        workload = QueryWorkload.from_catalog(
+            world.catalog, sim.stream("campaign:workload"),
+            popular_works=config.popular_works)
 
-    if telemetry is not None:
-        _install_journal(telemetry, sim, store, engine, downloader,
-                         until=horizon + config.drain_s)
-    _run(config, world, collector, workload, telemetry)
+        if telemetry is not None:
+            _install_journal(telemetry, sim, store, engine, downloader,
+                             until=horizon + config.drain_s)
+        _run(config, world, collector, workload, telemetry)
     return CampaignResult(store=store, world=world, config=config,
                           engine=engine, telemetry=telemetry,
                           faults=injector)

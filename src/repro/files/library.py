@@ -53,6 +53,9 @@ class SharedLibrary:
     def __init__(self) -> None:
         self._files: Dict[int, SharedFile] = {}
         self._token_index: Dict[str, Set[int]] = {}
+        #: bumped by every add/remove that changes the shared set, so
+        #: encodings derived from the library can be cached per version
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._files)
@@ -65,6 +68,7 @@ class SharedLibrary:
         if shared.file_id in self._files:
             return
         self._files[shared.file_id] = shared
+        self.version += 1
         for token in shared.tokens:
             self._token_index.setdefault(token, set()).add(shared.file_id)
 
@@ -73,6 +77,7 @@ class SharedLibrary:
         shared = self._files.pop(file_id, None)
         if shared is None:
             return
+        self.version += 1
         for token in shared.tokens:
             bucket = self._token_index.get(token)
             if bucket is not None:

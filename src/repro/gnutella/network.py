@@ -18,7 +18,10 @@ from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Transport
-from .guid import guid_hex
+from ..transfer.http import HttpRequest, HttpResponse, gnutella_urn_request
+from ..transfer.server import serve_request
+from .guid import guid_hex, new_guid
+from .messages import Push, decode_payload, frame, parse_frame
 from .servent import GnutellaServent
 from .topology import TopologyConfig, attach_leaf, build_topology
 
@@ -198,10 +201,6 @@ class GnutellaNetwork:
         unreachable in practice.  Returns True when the responder
         received the PUSH (and would connect back for the HTTP exchange).
         """
-        from .messages import Push, decode_payload, frame as frame_fn, \
-            parse_frame
-        from .guid import new_guid
-
         requester = self.servents.get(requester_id)
         if requester is None or not requester.is_online():
             return False
@@ -232,7 +231,7 @@ class GnutellaNetwork:
                 return False
             # exercise the codec at every hop, as real forwarding would
             header, payload = parse_frame(
-                frame_fn(guid, push, ttl=self.MAX_PUSH_HOPS, hops=0))
+                frame(guid, push, ttl=self.MAX_PUSH_HOPS, hops=0))
             decode_payload(header, payload)
             current = next_hop
         return False
@@ -264,10 +263,6 @@ class GnutellaNetwork:
         serve that urn; echo worms serve their own body for any name
         they advertised.
         """
-        from ..transfer.http import HttpRequest, HttpResponse, \
-            gnutella_urn_request
-        from ..transfer.server import serve_request
-
         servent = self.servent_by_guid(responder_guid)
         if servent is None or not servent.is_online():
             return None  # connection refused

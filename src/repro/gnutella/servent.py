@@ -29,7 +29,8 @@ from .constants import (DEFAULT_PORT, DEFAULT_TTL, DESCRIPTOR_BYE,
                         DESCRIPTOR_QUERY, DESCRIPTOR_QUERY_HIT,
                         HEADER_LENGTH, MAX_RESULTS_PER_HIT,
                         QHD_VENDOR_LIMEWIRE)
-from .guid import GUID_LENGTH, new_guid
+from .ggep import daily_uptime_block, encode_ggep, vendor_block
+from .guid import GUID_LENGTH, guid_hex, new_guid
 from .messages import (Bye, FrameCache, Header, HitResult, MessageError,
                        Ping, Pong, Query, QueryHit, frame, parse_header,
                        patch_ttl_hops)
@@ -387,7 +388,6 @@ class GnutellaServent:
                       sha1_urn=shared.sha1_urn)
             for shared in matches[:MAX_RESULTS_PER_HIT]
         )
-        from .ggep import daily_uptime_block, encode_ggep, vendor_block
         vendor = (QHD_VENDOR_LIMEWIRE if "LimeWire" in self.user_agent
                   else self.user_agent[:4].upper().encode("ascii",
                                                           "replace"))
@@ -418,13 +418,11 @@ class GnutellaServent:
                 guid: (peer, expiry)
                 for guid, (peer, expiry) in self.push_routes.items()
                 if expiry > now}
-        from .guid import guid_hex
         self.push_routes[guid_hex(servent_guid)] = (
             src, self.sim.now + ROUTE_TTL_S)
 
     def push_next_hop(self, servent_guid: bytes) -> Optional[str]:
         """Where a PUSH for ``servent_guid`` should be forwarded, if known."""
-        from .guid import guid_hex
         route = self.push_routes.get(guid_hex(servent_guid))
         if route is None or route[1] < self.sim.now:
             return None

@@ -17,8 +17,11 @@ from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Transport
+from ..transfer.http import HttpRequest, HttpResponse, openft_request
+from ..transfer.server import serve_request
 from .constants import CLASS_SEARCH, CLASS_USER
 from .nodes import OpenFTNode
+from .packets import PushRequest, decode_packet, encode_packet
 
 __all__ = ["OpenFTNetwork"]
 
@@ -185,8 +188,6 @@ class OpenFTNetwork:
         lists the responder as a child is online; the packet is encoded
         and re-parsed to exercise the codec.
         """
-        from .packets import PushRequest, decode_packet, encode_packet
-
         requester = self.nodes.get(requester_id)
         if requester is None or not requester.is_online():
             return False
@@ -228,10 +229,6 @@ class OpenFTNetwork:
         the host shares that content or is infected with the strain it
         belongs to.
         """
-        from ..transfer.http import HttpRequest, HttpResponse, \
-            openft_request
-        from ..transfer.server import serve_request
-
         node = self.node_by_host(host)
         if node is None or not node.is_online():
             return None

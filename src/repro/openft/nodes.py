@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..files.library import SharedLibrary
@@ -27,14 +27,15 @@ from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Envelope, Transport
 from .constants import (CLASS_SEARCH, CLASS_USER, DEFAULT_HTTP_PORT,
-                        DEFAULT_OPENFT_PORT, FT_BROWSE_RESPONSE,
-                        FT_SEARCH_REQUEST, FT_SEARCH_RESPONSE,
-                        MAX_SEARCH_RESULTS, OPENFT_VERSION, SEARCH_TTL)
+                        DEFAULT_OPENFT_PORT, FT_ADDSHARE_REQUEST,
+                        FT_BROWSE_RESPONSE, FT_SEARCH_REQUEST,
+                        FT_SEARCH_RESPONSE, MAX_SEARCH_RESULTS,
+                        OPENFT_VERSION, SEARCH_TTL)
 from .packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET, AddShare,
                       BrowseRequest, BrowseResponse, ChildRequest,
                       ChildResponse, NodeInfoRequest, NodeInfoResponse,
                       NodeListEntry, NodeListRequest, NodeListResponse,
-                      PacketError, SearchRequest, SearchResponse,
+                      PacketError, RemShare, SearchRequest, SearchResponse,
                       ShareSyncEnd, StatsRequest, StatsResponse,
                       VersionRequest, VersionResponse, decode_packet,
                       encode_packet, parse_packet_header, patch_search_ttl)
@@ -42,7 +43,7 @@ from .packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET, AddShare,
 __all__ = ["ShareRecord", "NodeStats", "OpenFTNode"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShareRecord:
     """One indexed share of a child, as its SEARCH parent sees it."""
 
@@ -106,6 +107,12 @@ class OpenFTNode:
         #: content under many names (bait copies), each its own entry
         self._records: Dict[Tuple[str, str, str], ShareRecord] = {}
         self._token_index: Dict[str, Set[Tuple[str, str, str]]] = {}
+        #: child -> its keys in ``_records``, in insertion order (a dict
+        #: used as an ordered set), so a drop or removal touches only
+        #: that child's entries
+        self._child_keys: Dict[str, Dict[Tuple[str, str, str], None]] = {}
+        #: (library version, encoded burst) of the last share sync
+        self._burst: Optional[Tuple[int, Tuple[bytes, ...]]] = None
         #: search_id -> (requester endpoint, expiry) for relaying responses
         self._search_routes: Dict[int, Tuple[str, float]] = {}
         self._seen_searches: Set[int] = set()
@@ -158,11 +165,13 @@ class OpenFTNode:
         The two relay-dominated commands (search responses travelling
         back to the requester, browse listings streaming past
         non-owners) and search requests at non-search nodes skip the
-        payload decode entirely; everything else falls through to the
-        eager dispatch.  ``parse_packet_header`` applies the same
-        framing checks as :func:`decode_packet`, so a packet counts in
-        ``decode_errors`` exactly when :func:`decode_packet` would
-        reject it, for every packet our encoders produce.
+        payload decode entirely; AddShare, most of a campaign's
+        deliveries, decodes straight into its handler; everything else
+        falls through to the eager dispatch.  ``parse_packet_header``
+        applies the same framing checks as :func:`decode_packet`, so a
+        packet counts in ``decode_errors`` exactly when
+        :func:`decode_packet` would reject it, for every packet our
+        encoders produce.
         """
         raw = envelope.payload
         try:
@@ -172,6 +181,13 @@ class OpenFTNode:
             return
         if command == FT_SEARCH_RESPONSE:
             self._handle_SearchResponse_raw(envelope.src, raw, length)
+        elif command == FT_ADDSHARE_REQUEST:
+            try:
+                packet = AddShare.decode(raw[PACKET_HEADER_LENGTH:])
+            except PacketError:
+                self.stats.decode_errors += 1
+                return
+            self._handle_AddShare(envelope.src, packet)
         elif command == FT_SEARCH_REQUEST:
             if not self.is_search_node:
                 return  # only search nodes serve searches
@@ -263,14 +279,21 @@ class OpenFTNode:
         self._send(search_node_id, ChildRequest())
 
     # -- share sync ------------------------------------------------------------
-    def _share_sync_packets(self) -> List[bytes]:
-        """The encoded AddShare burst (plus end marker) for one sync."""
-        packets = [encode_packet(AddShare(size=shared.size,
-                                          md5=shared.blob.md5_hex(),
-                                          filename=shared.name))
-                   for shared in self.library]
-        packets.append(encode_packet(ShareSyncEnd()))
-        return packets
+    def _share_sync_packets(self) -> Tuple[bytes, ...]:
+        """The encoded AddShare burst (plus end marker) for one sync.
+
+        Encoded once per library version and replayed: a sync sends the
+        bytes encoding the current library would produce.
+        """
+        version = self.library.version
+        if self._burst is None or self._burst[0] != version:
+            packets = [encode_packet(AddShare(size=shared.size,
+                                              md5=shared.blob.md5_hex(),
+                                              filename=shared.name))
+                       for shared in self.library]
+            packets.append(encode_packet(ShareSyncEnd()))
+            self._burst = (version, tuple(packets))
+        return self._burst[1]
 
     def sync_shares_to(self, parent_id: str) -> None:
         """Send the current library as AddShare packets to one parent."""
@@ -294,6 +317,11 @@ class OpenFTNode:
                 send(self.endpoint_id, parent_id, raw)
 
     def _handle_AddShare(self, src: str, packet: AddShare) -> None:
+        """Index one share of a child.
+
+        A re-sync of an indexed key replaces its record in place: the
+        key holds the filename, so its tokens are already indexed.
+        """
         if src not in self._children:
             return
         child = self.transport.endpoint(src)
@@ -301,12 +329,11 @@ class OpenFTNode:
             return
         record = self._make_record(src, packet)
         key = (src, packet.md5, packet.filename)
-        previous = self._records.get(key)
-        if previous is not None:
-            self._unindex(key, previous)
+        if key not in self._records:
+            for token in tokenize(packet.filename):
+                self._token_index.setdefault(token, set()).add(key)
+            self._child_keys.setdefault(src, {})[key] = None
         self._records[key] = record
-        for token in tokenize(packet.filename):
-            self._token_index.setdefault(token, set()).add(key)
         self.stats.shares_indexed += 1
 
     def _make_record(self, child_id: str, packet: AddShare) -> ShareRecord:
@@ -329,9 +356,12 @@ class OpenFTNode:
         return self.child_resolver(child_id)
 
     def _handle_RemShare(self, src: str, packet: RemShare) -> None:
-        stale = [key for key in self._records
-                 if key[0] == src and key[1] == packet.md5]
+        keys = self._child_keys.get(src)
+        if not keys:
+            return
+        stale = [key for key in keys if key[1] == packet.md5]
         for key in stale:
+            del keys[key]
             self._unindex(key, self._records.pop(key))
 
     def _unindex(self, key: Tuple[str, str, str],
@@ -349,9 +379,9 @@ class OpenFTNode:
     def drop_child(self, child_id: str) -> None:
         """Remove a child and all its index entries (TCP drop noticed)."""
         self._children.discard(child_id)
-        stale = [key for key in self._records if key[0] == child_id]
-        for key in stale:
-            self._unindex(key, self._records.pop(key))
+        records = self._records
+        for key in self._child_keys.pop(child_id, ()):
+            self._unindex(key, records.pop(key))
 
     # -- searching ---------------------------------------------------------
     def _request_id(self) -> int:
