@@ -198,7 +198,8 @@ class GnutellaNetwork:
         the requester; every hop re-encodes and re-parses the Push
         descriptor, and the walk fails if any hop is offline or has
         forgotten the route -- the cases where a NATed responder is
-        unreachable in practice.  Returns True when the responder
+        unreachable in practice -- or when the responder is more than
+        ``MAX_PUSH_HOPS`` hops away.  Returns True when the responder
         received the PUSH (and would connect back for the HTTP exchange).
         """
         requester = self.servents.get(requester_id)
@@ -219,10 +220,10 @@ class GnutellaNetwork:
                     address=requester.advertised_address,
                     port=requester.port)
         guid = new_guid(requester.stream)
-        current = requester
-        for _ in range(self.MAX_PUSH_HOPS):
-            if current.servent_guid == responder_guid:
-                return current.is_online()
+        current, hops = requester, 0
+        while current.servent_guid != responder_guid:
+            if hops == self.MAX_PUSH_HOPS:
+                return False
             next_hop_id = current.push_next_hop(responder_guid)
             if next_hop_id is None:
                 return False
@@ -233,8 +234,8 @@ class GnutellaNetwork:
             header, payload = parse_frame(
                 frame(guid, push, ttl=self.MAX_PUSH_HOPS, hops=0))
             decode_payload(header, payload)
-            current = next_hop
-        return False
+            current, hops = next_hop, hops + 1
+        return True
 
     def _resolve_content(self, servent: GnutellaServent,
                          sha1_urn: str) -> Optional[Blob]:

@@ -197,7 +197,9 @@ class QueryRouteTable:
         Raises ``ValueError`` for a stream that does not open with a
         RESET, a table length that is not a power of two, a patch out of
         its 1..N sequence, a sequence count that changes mid-stream,
-        entries that are not 8-bit, or patches that overrun the table.
+        entries that are not 8-bit, patches that overrun the table, or a
+        sequence that ends before its last patch (a servent applies a
+        table only after patch N of N; a RESET alone clears the table).
         Memory follows the patch bytes received, not the declared length.
         """
         table: Optional[QueryRouteTable] = None
@@ -234,6 +236,9 @@ class QueryRouteTable:
                 raise TypeError(f"not a QRP message: {message!r}")
         if table is None:
             raise ValueError("QRP stream must open with a RESET")
+        if 1 < expected <= count:
+            raise ValueError(
+                f"QRP stream ended at patch {expected - 1} of {count}")
         if len(received) == table.size and 0 not in received:
             table._all_ones = True
         else:

@@ -105,6 +105,9 @@ class GnutellaServent:
         self.peer_ids: List[str] = []
         #: for ultrapeers: attached leaves and their QRP tables
         self.leaf_tables: Dict[str, QueryRouteTable] = {}
+        #: for leaves: the table this leaf's last QRP sync decoded, which
+        #: ``sync_leaf_qrt`` installs again while the leaf's table equals it
+        self.synced_route_table: Optional[QueryRouteTable] = None
         #: reverse routes: descriptor GUID -> (upstream endpoint, expiry)
         self._routes: Dict[bytes, Tuple[str, float]] = {}
         #: push routes: responder servent GUID (hex) -> (the neighbour a

@@ -4,8 +4,10 @@
 shielding tens of leaves.  The builder wires a ring-plus-random-chords
 ultrapeer graph (connected by construction, low diameter like the real
 mesh), attaches each leaf to a few ultrapeers, and runs the actual 0.6
-handshake and QRP table exchange *through the codecs* for every link --
-synchronously at build time, so setup does not flood the event queue.
+handshake *through the codecs* for every link, plus a QRP table exchange
+that sends each distinct table a leaf advertises through the QRP codec
+(see :func:`sync_leaf_qrt`) -- synchronously at build time, so setup does
+not flood the event queue.
 """
 
 from __future__ import annotations
@@ -58,12 +60,20 @@ def sync_leaf_qrt(leaf: GnutellaServent, ultrapeer: GnutellaServent) -> None:
     Bye, so the leaf re-advertises it; most calls are these.  A latent
     host that becomes infected re-advertises too (an echo strain's table
     is all-ones).
+
+    The leaf's table is built on every call.  A table that differs from
+    the one this leaf's last sync decoded is encoded, decoded and checked
+    as RESET + PATCH messages; one equal to it (most calls: reconnects,
+    and the second shield at attach) is not sent through the codecs
+    again, and the ultrapeer gets the table already decoded.  Shields
+    share that object, so nothing may mutate an installed table.
     """
-    wire = [encode_qrp(message) for message in
-            leaf.build_route_table().to_messages()]
-    received = [decode_qrp(payload) for payload in wire]
-    ultrapeer.install_leaf_table(leaf.endpoint_id,
-                                 QueryRouteTable.from_messages(received))
+    table = leaf.build_route_table()
+    if table != leaf.synced_route_table:
+        wire = [encode_qrp(message) for message in table.to_messages()]
+        received = [decode_qrp(payload) for payload in wire]
+        leaf.synced_route_table = QueryRouteTable.from_messages(received)
+    ultrapeer.install_leaf_table(leaf.endpoint_id, leaf.synced_route_table)
 
 
 _sync_qrp = sync_leaf_qrt  # internal alias used by the builders below

@@ -1,6 +1,12 @@
 """Tests for the Gnutella network facade."""
 
+import pytest
+
 from repro.gnutella.guid import new_guid
+from repro.gnutella.network import GnutellaNetwork
+from repro.gnutella.servent import GnutellaServent
+from repro.simnet.addresses import AddressAllocator
+from repro.simnet.transport import Transport
 
 
 class TestLookup:
@@ -103,6 +109,23 @@ class TestPush:
         from repro.gnutella.guid import new_guid
         ghost = new_guid(world.sim.stream("ghost2"))
         assert not world.network.route_push("crawler", ghost)
+
+    @pytest.mark.parametrize("hops, reached", [(1, True), (7, True),
+                                               (8, True), (9, False)])
+    def test_push_walk_reaches_max_push_hops(self, sim, hops, reached):
+        # a chain of recorded push routes, requester -> ... -> responder
+        transport = Transport(sim)
+        allocator = AddressAllocator(sim.stream("addr"))
+        chain = [GnutellaServent(sim, transport, f"hop{index}",
+                                 allocator.allocate())
+                 for index in range(hops + 1)]
+        responder = chain[-1]
+        for here, there in zip(chain, chain[1:]):
+            here._remember_push_route(responder.servent_guid,
+                                      there.endpoint_id)
+        network = GnutellaNetwork(sim, transport, [], chain)
+        assert network.MAX_PUSH_HOPS == 8
+        assert network.route_push("hop0", responder.servent_guid) is reached
 
 
 class TestCrawler:

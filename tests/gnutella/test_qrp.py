@@ -231,6 +231,21 @@ class TestStreamValidation:
         with pytest.raises(ValueError, match="sequence"):
             QueryRouteTable.from_messages(small)
 
+    def test_a_stream_that_stops_before_its_last_patch_is_rejected(self):
+        # a servent applies a table only after patch N of N: this prefix
+        # would install an empty table for a leaf that shares tokens
+        reset, *patches = self._stream("madonna_angel.mp3")
+        assert len(patches) == 32
+        with pytest.raises(ValueError, match="patch 1 of 32"):
+            QueryRouteTable.from_messages([reset, patches[0]])
+        with pytest.raises(ValueError, match="patch 31 of 32"):
+            QueryRouteTable.from_messages([reset, *patches[:-1]])
+        # the sequence the stream ends in must be complete, whatever
+        # sequences came before it
+        with pytest.raises(ValueError, match="patch 2 of 32"):
+            QueryRouteTable.from_messages(
+                [reset, *patches, reset, *patches[:2]])
+
     def test_sequence_count_may_not_change(self):
         messages = [QrpReset(64, 7), QrpPatch(1, 2, 8, b"\x00" * 32),
                     QrpPatch(2, 3, 8, b"\x00" * 32)]
