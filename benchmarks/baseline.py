@@ -26,11 +26,6 @@ target --
   ``fault_plan=None`` vs an armed-but-idle :class:`FaultPlan` (all
   probabilities zero), proving the chaos taps cost nothing when no
   fault fires and the faults-off hot path is untouched;
-* **sharded-kernel overhead**: the plain kernel vs the sharded campaign
-  driver at ``shards=1`` (the degenerate fast path), interleaved in one
-  window with the event digest and store sha256 asserted identical
-  every rep, plus an informational ``shards=2`` window-loop leg --
-  gated in CI via ``--assert-overhead sharded_overhead_pct=10``;
 * **replication wall-clock**: a multi-seed `run_replications` campaign,
   serial vs process-pool parallel;
 * **supervision overhead**: the same multi-seed campaign under the
@@ -426,88 +421,6 @@ def bench_observability(days: float) -> dict:
     }
 
 
-def bench_sharded(days: float) -> dict:
-    """Shard-plumbing overhead: plain kernel vs ``shards=1``, interleaved.
-
-    Two legs over the same seed, alternating which runs first each rep:
-    the plain single-process kernel vs the sharded driver at
-    ``shards=1`` (the degenerate fast path -- one runtime, no window
-    loop).  Every rep asserts the two legs bit-identical down to the
-    kernel event stream (EventDigest) and the collected bytes
-    (measurement-store sha256): the sharded entry point must be the
-    *same campaign*, not a similar one.  The gated number is the median
-    of per-rep overheads (the drift-cancelling discipline of the
-    observability bench), budgeted in CI via ``--assert-overhead
-    sharded_overhead_pct=10``.  A ``shards=2`` serial leg rides along
-    untimed-against-plain (its store legitimately differs -- N >= 2 is
-    a deterministic family, not a bitwise twin) to record the window
-    loop's wall clock and window count on this box.
-    """
-    from repro.core.measure.campaign import (CampaignConfig,
-                                             default_profile,
-                                             run_limewire_campaign)
-    from repro.core.sharded import run_sharded_campaign
-    from repro.devtools.sanitizer import EventDigest
-    from repro.telemetry import CampaignTelemetry
-
-    profile = default_profile("limewire", 0.5)
-
-    def plain_leg():
-        telemetry = CampaignTelemetry()
-        digest = EventDigest()
-        telemetry.kernel.on_event = digest.on_event
-        config = CampaignConfig(seed=23, duration_days=days)
-        start = time.perf_counter()
-        result = run_limewire_campaign(config, profile=profile,
-                                       telemetry=telemetry)
-        elapsed = time.perf_counter() - start
-        return elapsed, digest.hexdigest(), result.store.content_digest()
-
-    def sharded_leg(shards):
-        config = CampaignConfig(seed=23, duration_days=days,
-                                shards=shards)
-        start = time.perf_counter()
-        result = run_sharded_campaign(
-            "limewire", config, profile=profile,
-            telemetry=CampaignTelemetry(), executor="serial",
-            collect_digest=True)
-        elapsed = time.perf_counter() - start
-        return (elapsed, result.shards.digest,
-                result.store.content_digest(), result.shards.windows)
-
-    plain_times, single_times = [], []
-    for rep in range(5):
-        legs = ["plain", "single"] if rep % 2 == 0 else ["single", "plain"]
-        rep_results = {}
-        for leg in legs:
-            if leg == "plain":
-                elapsed, digest, sha = plain_leg()
-            else:
-                elapsed, digest, sha, windows = sharded_leg(1)
-                if windows != 0:
-                    raise AssertionError(
-                        "shards=1 took the window loop instead of the "
-                        "degenerate fast path")
-            rep_results[leg] = (digest, sha)
-            (plain_times if leg == "plain" else single_times).append(elapsed)
-        if rep_results["plain"] != rep_results["single"]:
-            raise AssertionError(
-                "shards=1 diverged from the plain kernel: "
-                f"{rep_results['plain']} != {rep_results['single']}")
-    overheads = sorted((single - plain) / plain * 100.0
-                       for plain, single in zip(plain_times, single_times)
-                       if plain)
-    two_s, _digest, _sha, two_windows = sharded_leg(2)
-    return {
-        "sharded_plain_s": min(plain_times),
-        "sharded_single_s": min(single_times),
-        "sharded_overhead_pct": (
-            overheads[len(overheads) // 2] if overheads else 0.0),
-        "sharded_two_shard_s": two_s,
-        "sharded_two_shard_windows": two_windows,
-    }
-
-
 def bench_replications(seeds: int, days: float, workers: int) -> dict:
     """Multi-seed campaign wall-clock, serial vs parallel."""
     from repro.core.experiments import run_replications
@@ -638,15 +551,6 @@ def run(quick: bool, workers: int) -> dict:
           f"(overhead {results['observability_overhead_pct']:+.1f}%, "
           f"{results['observability_scrapes']} concurrent scrapes, "
           f"store sha identical)")
-    print("benchmarking sharded kernel (plain vs shards=1, "
-          "interleaved)...", flush=True)
-    results.update(bench_sharded(days=0.05 if quick else 0.1))
-    print(f"  plain {results['sharded_plain_s']:.2f}s, "
-          f"shards=1 {results['sharded_single_s']:.2f}s "
-          f"(overhead {results['sharded_overhead_pct']:+.1f}%, "
-          f"digest + store sha identical every rep); "
-          f"shards=2 serial {results['sharded_two_shard_s']:.2f}s "
-          f"over {results['sharded_two_shard_windows']} windows")
     print("benchmarking replication campaign...", flush=True)
     results.update(bench_replications(
         seeds=2 if quick else 8, days=0.1 if quick else 0.25,

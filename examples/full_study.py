@@ -55,11 +55,6 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="processes for the replication fan-out "
                              "(default: one per CPU)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="kernel shards per campaign (1 = the plain "
-                             "single-process kernel; N >= 2 partitions "
-                             "each overlay into N conservative-window "
-                             "shards run by worker processes)")
     parser.add_argument("--telemetry-dir", type=Path, default=None,
                         help="instrument the campaigns and dump "
                              "journal/metrics/spans here")
@@ -78,12 +73,9 @@ def main() -> None:
         print(f"  (journal: tail -f {bundle.journal.path})")
         return bundle
 
-    config = CampaignConfig(seed=args.seed, duration_days=args.days,
-                            shards=args.shards)
+    config = CampaignConfig(seed=args.seed, duration_days=args.days)
     print(f"collecting {args.days} virtual days per network "
-          f"(seed={args.seed}"
-          + (f", {args.shards} kernel shards" if args.shards > 1 else "")
-          + ")...")
+          f"(seed={args.seed})...")
     limewire_telemetry = telemetry_for("limewire")
     openft_telemetry = telemetry_for("openft")
     server = None

@@ -49,10 +49,6 @@ DIRECTIONS = {
     "observability_off_s": False,
     "observability_on_s": False,
     "observability_overhead_pct": False,
-    "sharded_plain_s": False,
-    "sharded_single_s": False,
-    "sharded_overhead_pct": False,
-    "sharded_two_shard_s": False,
     "replication_serial_s": False,
     "replication_parallel_s": False,
     "replication_speedup": True,

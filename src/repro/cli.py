@@ -41,6 +41,7 @@ recover.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,8 +51,8 @@ from .core import reports
 from .core.analysis import top_malware
 from .core.filtering import (ExistingLimewireFilter, SizeBasedFilter,
                              evaluate_filters)
-from .core.measure import (CampaignConfig, MeasurementStore,
-                           run_limewire_campaign, run_openft_campaign)
+from .core.measure import CampaignConfig, MeasurementStore
+from .core.measure.campaign import campaign_runner, default_profile
 from .faults import SEVERITIES
 from .malware.corpus import limewire_strains
 
@@ -59,6 +60,19 @@ __all__ = ["main", "build_parser"]
 
 _TABLES = ("t1", "t2", "t3", "t4", "t5", "t6",
            "f1", "f2", "f3", "f4", "x1", "x2", "x3", "x4")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for campaign lengths and scales: finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate measurement campaigns and save raw stores")
     run.add_argument("--network", choices=("limewire", "openft", "both"),
                      default="both")
-    run.add_argument("--days", type=float, default=1.0,
+    run.add_argument("--days", type=_positive_float, default=1.0,
                      help="virtual days to measure (paper: 35)")
     run.add_argument("--seed", type=int, default=2)
     run.add_argument("--out", type=Path, default=Path("study_output"))
@@ -98,23 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument("--base-seed", type=int, default=1,
                            help="first seed; replications use "
                                 "base-seed..base-seed+seeds-1")
-    replicate.add_argument("--days", type=float, default=1.0,
+    replicate.add_argument("--days", type=_positive_float, default=1.0,
                            help="virtual days per replication")
     replicate.add_argument("--workers", type=int, default=None,
                            help="campaign processes to run in parallel "
                                 "(default: one per CPU; 1 = serial)")
-    replicate.add_argument("--shards", type=int, default=1,
-                           help="kernel shards per campaign (default 1 = "
-                                "the plain single-process kernel; N >= 2 "
-                                "partitions each seed's overlay into N "
-                                "conservative-window shards)")
-    replicate.add_argument("--shard-executor",
-                           choices=("auto", "serial", "process"),
-                           default="auto",
-                           help="how shards execute: forked worker "
-                                "processes, in-process serial twin, or "
-                                "auto-pick by host (results are identical "
-                                "either way)")
     replicate.add_argument("--telemetry-dir", type=Path, default=None,
                            help="instrument every replication and write "
                                 "per-seed journals/spans/metrics plus the "
@@ -182,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seeds", type=int, default=3,
                        help="replication seeds per (severity, network)")
     chaos.add_argument("--base-seed", type=int, default=1)
-    chaos.add_argument("--days", type=float, default=0.25,
+    chaos.add_argument("--days", type=_positive_float, default=0.25,
                        help="virtual days per campaign")
-    chaos.add_argument("--scale", type=float, default=0.5,
+    chaos.add_argument("--scale", type=_positive_float, default=0.5,
                        help="population scale factor")
     chaos.add_argument("--workers", type=int, default=1,
                        help="campaign processes per replication cell")
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--network",
                            choices=("limewire", "openft", "both"),
                            default="limewire")
-    telemetry.add_argument("--days", type=float, default=1.0,
+    telemetry.add_argument("--days", type=_positive_float, default=1.0,
                            help="virtual days to measure")
     telemetry.add_argument("--seed", type=int, default=2)
     telemetry.add_argument("--out", type=Path,
@@ -229,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
              "hotspot endpoints")
     serve.add_argument("--network", choices=("limewire", "openft"),
                        default="limewire")
-    serve.add_argument("--days", type=float, default=1.0,
+    serve.add_argument("--days", type=_positive_float, default=1.0,
                        help="virtual days to measure")
     serve.add_argument("--seed", type=int, default=2)
-    serve.add_argument("--scale", type=float, default=1.0,
+    serve.add_argument("--scale", type=_positive_float, default=1.0,
                        help="population scale factor")
     serve.add_argument("--port", type=int, default=8000,
                        help="HTTP port (0 = ephemeral)")
@@ -263,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
              "registry snapshot)")
     hotspots.add_argument("--network", choices=("limewire", "openft"),
                           default="limewire")
-    hotspots.add_argument("--days", type=float, default=0.1,
+    hotspots.add_argument("--days", type=_positive_float, default=0.1,
                           help="virtual days to simulate")
     hotspots.add_argument("--seed", type=int, default=2)
-    hotspots.add_argument("--scale", type=float, default=0.35,
+    hotspots.add_argument("--scale", type=_positive_float, default=0.35,
                           help="population scale factor")
     hotspots.add_argument("--sample-every", type=int, default=64,
                           help="sample one in N event callbacks")
@@ -318,22 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument("--seeds", type=int, default=2,
                            help="number of seeds to twin-run")
     selfcheck.add_argument("--base-seed", type=int, default=1)
-    selfcheck.add_argument("--days", type=float, default=0.1,
+    selfcheck.add_argument("--days", type=_positive_float, default=0.1,
                            help="virtual days per campaign (small: the "
                                 "check runs 2 campaigns per seed)")
-    selfcheck.add_argument("--scale", type=float, default=0.35,
+    selfcheck.add_argument("--scale", type=_positive_float, default=0.35,
                            help="population scale factor for the check "
                                 "worlds")
     selfcheck.add_argument("--no-sanitize", action="store_true",
                            help="compare digests without arming the "
                                 "entropy sanitizer")
-    selfcheck.add_argument("--shard-equivalence", action="store_true",
-                           help="additionally prove the sharded kernel's "
-                                "contract for every seed: shards=1 (plain "
-                                "and forced through the window loop) is "
-                                "bit-identical to the single-process "
-                                "kernel, and N-shard stores are invariant "
-                                "in N")
     selfcheck.add_argument("--lock-order", action="store_true",
                            help="instead of the digest check, record "
                                 "every lock acquisition while a "
@@ -346,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one campaign under cProfile and print the top "
              "cumulative hotspots")
     profile.add_argument("network", choices=("limewire", "openft"))
-    profile.add_argument("--days", type=float, default=0.1,
+    profile.add_argument("--days", type=_positive_float, default=0.1,
                          help="virtual days to simulate")
     profile.add_argument("--seed", type=int, default=2)
-    profile.add_argument("--scale", type=float, default=0.35,
+    profile.add_argument("--scale", type=_positive_float, default=0.35,
                          help="population scale factor")
     profile.add_argument("--top", type=int, default=25,
                          help="hotspot rows to print")
@@ -373,18 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _networks(choice: str) -> List[str]:
+    """The campaigns a ``--network`` choice runs, Limewire first."""
+    return [name for name in ("limewire", "openft")
+            if choice in (name, "both")]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = CampaignConfig(seed=args.seed, duration_days=args.days)
     args.out.mkdir(parents=True, exist_ok=True)
-    campaigns = []
-    if args.network in ("limewire", "both"):
-        campaigns.append(("limewire", run_limewire_campaign))
-    if args.network in ("openft", "both"):
-        campaigns.append(("openft", run_openft_campaign))
-    for name, runner in campaigns:
+    for name in _networks(args.network):
         print(f"running {name} campaign "
               f"({args.days:g} virtual days, seed {args.seed})...")
-        result = runner(config)
+        result = campaign_runner(name)(config)
         path = args.out / f"{name}.jsonl"
         count = result.store.save(path)
         print(f"  {count} responses -> {path}")
@@ -406,12 +402,9 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         print("error: --hang-seeds requires --supervise (an unsupervised "
               "pool would hang forever)", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     seeds = tuple(range(args.base_seed, args.base_seed + args.seeds))
     workers = resolve_workers(args.workers, len(seeds))
-    config = CampaignConfig(duration_days=args.days, shards=args.shards)
+    config = CampaignConfig(duration_days=args.days)
     supervision = None
     if args.supervise:
         from .resilience import SupervisionPolicy
@@ -428,9 +421,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(f"replicating {args.network} over seeds {list(seeds)} "
           f"({args.days:g} virtual days each, {workers} worker"
           f"{'s' if workers != 1 else ''}"
-          f"{', supervised' if supervision else ''}"
-          + (f", {args.shards} kernel shards" if args.shards > 1 else "")
-          + ")...")
+          f"{', supervised' if supervision else ''})...")
     kills = []
     report = run_replications(args.network, seeds, config,
                               workers=workers,
@@ -442,8 +433,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                               on_serve=lambda url: print(
                                   f"observability endpoint: {url}"),
                               supervision=supervision,
-                              on_kill=kills.append,
-                              shard_executor=args.shard_executor)
+                              on_kill=kills.append)
     for kill in kills:
         seed, attempt = kill.item
         print(f"supervisor: killed seed {seed} attempt {attempt} "
@@ -488,16 +478,11 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     from .telemetry import CampaignTelemetry
 
     config = CampaignConfig(seed=args.seed, duration_days=args.days)
-    campaigns = []
-    if args.network in ("limewire", "both"):
-        campaigns.append(("limewire", run_limewire_campaign))
-    if args.network in ("openft", "both"):
-        campaigns.append(("openft", run_openft_campaign))
     bundles = {
         name: CampaignTelemetry.for_directory(
             args.out, name, journal_interval_s=args.journal_interval,
             sample_every=args.sample_every)
-        for name, _runner in campaigns}
+        for name in _networks(args.network)}
     server = None
     if args.serve_port is not None:
         from .telemetry.httpd import ObservatoryHub, TelemetryServer
@@ -508,12 +493,11 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         server = TelemetryServer(hub, port=args.serve_port).start()
         print(f"observability endpoint: {server.url}")
     try:
-        for name, runner in campaigns:
-            telemetry = bundles[name]
+        for name, telemetry in bundles.items():
             print(f"running instrumented {name} campaign "
                   f"({args.days:g} virtual days, seed {args.seed})...")
             print(f"  journal: tail -f {telemetry.journal.path}")
-            result = runner(config, telemetry=telemetry)
+            result = campaign_runner(name)(config, telemetry=telemetry)
             written = telemetry.write_outputs(args.out, name)
             registry, tracer = telemetry.registry, telemetry.tracer
             events = registry.get("sim_events_total")
@@ -535,12 +519,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import urllib.request
 
-    from .core.measure.campaign import default_profile
     from .telemetry import CampaignTelemetry
     from .telemetry.httpd import ObservatoryHub, TelemetryServer
 
-    runner = (run_limewire_campaign if args.network == "limewire"
-              else run_openft_campaign)
+    runner = campaign_runner(args.network)
     population = default_profile(args.network, args.scale)
     config = CampaignConfig(seed=args.seed, duration_days=args.days)
     telemetry = CampaignTelemetry.for_directory(
@@ -642,10 +624,8 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
         report = HotspotReport.from_snapshot(
             _json.loads(args.snapshot.read_text(encoding="utf-8")))
     else:
-        from .core.measure.campaign import default_profile
         from .telemetry import CampaignTelemetry
-        runner = (run_limewire_campaign if args.network == "limewire"
-                  else run_openft_campaign)
+        runner = campaign_runner(args.network)
         population = default_profile(args.network, args.scale)
         config = CampaignConfig(seed=args.seed, duration_days=args.days)
         telemetry = CampaignTelemetry(sample_every=args.sample_every)
@@ -767,30 +747,14 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
                            days=args.days, scale=args.scale,
                            sanitize=not args.no_sanitize)
     print(report.render())
-    ok = report.ok
-    if args.shard_equivalence:
-        from .devtools.selfcheck import run_shard_equivalence_check
-        print("\nsharded kernel vs plain kernel equivalence:")
-        for seed in seeds:
-            shard_check = run_shard_equivalence_check(
-                network=args.network, seed=seed,
-                days=min(args.days, 0.05), scale=args.scale,
-                sanitize=not args.no_sanitize)
-            print(shard_check.render())
-            ok = ok and shard_check.ok
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    from .core.measure.campaign import default_profile
-
-    if args.network == "limewire":
-        runner = run_limewire_campaign
-    else:
-        runner = run_openft_campaign
+    runner = campaign_runner(args.network)
     population = default_profile(args.network, args.scale)
     config = CampaignConfig(seed=args.seed, duration_days=args.days)
     print(f"profiling {args.network} campaign ({args.days:g} virtual "

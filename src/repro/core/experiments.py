@@ -25,8 +25,7 @@ from ..telemetry.runtime import CampaignTelemetry
 from .analysis.concentration import top_n_share
 from .analysis.prevalence import compute_prevalence
 from .analysis.sources import address_breakdown
-from .measure.campaign import (CampaignConfig, CampaignResult,
-                               run_limewire_campaign, run_openft_campaign)
+from .measure.campaign import CampaignConfig, CampaignResult, campaign_runner
 from .parallel import merge_worker_registries, parallel_map, resolve_workers
 
 __all__ = ["MetricSummary", "ReplicationReport", "HEADLINE_METRICS",
@@ -125,8 +124,7 @@ class ReplicationReport:
 def replicate_one(network: str, config: CampaignConfig, profile,
                   seed: int, telemetry_dir: Optional[Path] = None,
                   sanitize: bool = False, attempt: int = 0,
-                  journal_interval_s: Optional[float] = None,
-                  shard_executor: str = "auto"):
+                  journal_interval_s: Optional[float] = None):
     """Run one seed's campaign and return its headline metric values.
 
     Top-level (and therefore picklable) on purpose: this is the unit of
@@ -152,8 +150,7 @@ def replicate_one(network: str, config: CampaignConfig, profile,
     if crash is not None and crash.should_crash(seed, attempt):
         raise InjectedWorkerCrash(
             f"injected worker crash: seed {seed}, attempt {attempt}")
-    runner = (run_limewire_campaign if network == "limewire"
-              else run_openft_campaign)
+    runner = campaign_runner(network)
     telemetry = None
     if telemetry_dir is not None:
         telemetry = CampaignTelemetry.for_directory(
@@ -166,26 +163,15 @@ def replicate_one(network: str, config: CampaignConfig, profile,
         from ..devtools.sanitizer import DeterminismSanitizer
         with DeterminismSanitizer(mode="raise"):
             result = runner(replace(config, seed=seed), profile=profile,
-                            telemetry=telemetry, attempt=attempt,
-                            shard_executor=shard_executor)
+                            telemetry=telemetry)
     else:
         result = runner(replace(config, seed=seed), profile=profile,
-                        telemetry=telemetry, attempt=attempt,
-                        shard_executor=shard_executor)
+                        telemetry=telemetry)
     metrics = {name: metric(result)
                for name, metric in HEADLINE_METRICS[network].items()}
-    shard_prints = (result.shards.fingerprints
-                    if result.shards is not None else None)
-    if telemetry is not None:
-        telemetry.write_outputs(Path(telemetry_dir), f"{network}_seed{seed}")
-    if shard_prints is not None:
-        # sharded runs always report a triple so the checkpoint journal
-        # can persist the per-shard fingerprints next to the metrics
-        snapshot = (telemetry.registry.snapshot()
-                    if telemetry is not None else None)
-        return metrics, snapshot, shard_prints
     if telemetry is None:
         return metrics
+    telemetry.write_outputs(Path(telemetry_dir), f"{network}_seed{seed}")
     return metrics, telemetry.registry.snapshot()
 
 
@@ -201,8 +187,6 @@ class _SeedOutcome:
     ok: bool
     metrics: Optional[dict] = None
     snapshot: Optional[dict] = None
-    #: per-shard journal fingerprints when the campaign ran sharded
-    shards: Optional[tuple] = None
     error: str = ""
 
 
@@ -210,7 +194,6 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
                        seed_attempt, telemetry_dir=None,
                        sanitize: bool = False,
                        journal_interval_s: Optional[float] = None,
-                       shard_executor: str = "auto",
                        ) -> _SeedOutcome:
     """Run one seed, converting any crash into a reportable outcome.
 
@@ -224,20 +207,16 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
         result = replicate_one(network, config, profile, seed,
                                telemetry_dir=telemetry_dir,
                                sanitize=sanitize, attempt=attempt,
-                               journal_interval_s=journal_interval_s,
-                               shard_executor=shard_executor)
+                               journal_interval_s=journal_interval_s)
     except Exception:
         return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
                             error=traceback.format_exc())
-    shards = None
-    if isinstance(result, tuple) and len(result) == 3:
-        metrics, snapshot, shards = result
-    elif telemetry_dir is not None:
+    if telemetry_dir is not None:
         metrics, snapshot = result
     else:
         metrics, snapshot = result, None
     return _SeedOutcome(seed=seed, attempt=attempt, ok=True,
-                        metrics=metrics, snapshot=snapshot, shards=shards)
+                        metrics=metrics, snapshot=snapshot)
 
 
 def _experiment_fingerprint(network: str, config: CampaignConfig,
@@ -328,18 +307,13 @@ class CheckpointJournal:
                 self.completed[int(entry["seed"])] = entry
 
     def record(self, seed: int, metrics: dict,
-               snapshot: Optional[dict],
-               shards: Optional[Sequence[dict]] = None) -> None:
+               snapshot: Optional[dict]) -> None:
         """Persist one completed seed (idempotent: re-records are no-ops,
-        which absorbs the serial-redo replay after a broken pool).
-        ``shards`` carries the per-shard fingerprints of a sharded
-        campaign so a resume can audit shard-level divergence."""
+        which absorbs the serial-redo replay after a broken pool)."""
         if seed in self.completed:
             return
         entry = {"kind": "seed", "seed": seed, "metrics": metrics,
                  "snapshot": snapshot}
-        if shards is not None:
-            entry["shards"] = list(shards)
         self.completed[seed] = entry
         try:
             self._appender.append(entry)
@@ -376,7 +350,6 @@ def run_replications(network: str, seeds: Sequence[int],
                      on_serve: Optional[Callable[[str], None]] = None,
                      supervision: Optional[SupervisionPolicy] = None,
                      on_kill: Optional[Callable] = None,
-                     shard_executor: str = "auto",
                      ) -> ReplicationReport:
     """Run one campaign per seed and summarize the headline metrics.
 
@@ -423,12 +396,6 @@ def run_replications(network: str, seeds: Sequence[int],
     observes every watchdog intervention.  Worker-hang/-stall clauses
     in the fault plan are enforced only under supervision (an
     unsupervised run must not be able to wedge itself).
-
-    ``shard_executor`` only matters when ``config.shards >= 2``: it
-    picks how each seed's sharded campaign executes (``auto`` /
-    ``serial`` / ``process``) and never changes results, only wall
-    clock.  Sharded seeds record per-shard fingerprints into the
-    checkpoint journal.
     """
     if network not in HEADLINE_METRICS:
         raise ValueError(f"unknown network {network!r}")
@@ -478,16 +445,14 @@ def run_replications(network: str, seeds: Sequence[int],
 
     def on_result(seed_attempt, outcome: _SeedOutcome) -> None:
         if journal is not None and outcome.ok:
-            journal.record(outcome.seed, outcome.metrics, outcome.snapshot,
-                           shards=outcome.shards)
+            journal.record(outcome.seed, outcome.metrics, outcome.snapshot)
         if hub is not None and outcome.ok and outcome.snapshot:
             hub.record_snapshot(outcome.seed, outcome.snapshot)
 
     worker = functools.partial(_guarded_replicate, network, config, profile,
                                telemetry_dir=telemetry_dir,
                                sanitize=sanitize,
-                               journal_interval_s=journal_interval_s,
-                               shard_executor=shard_executor)
+                               journal_interval_s=journal_interval_s)
 
     if supervision is not None:
         hang = plan.worker_hang if plan else None

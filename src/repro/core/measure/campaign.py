@@ -1,21 +1,34 @@
-"""Campaign drivers: run the whole measurement end to end.
+"""Campaign driver: run the whole measurement end to end.
 
-``run_limewire_campaign`` / ``run_openft_campaign`` reproduce the paper's
-data collection: build the world, attach the instrumented client, issue
-the query workload on a fixed cadence for the configured number of
-virtual days, download and scan every response, and return the filled
-:class:`MeasurementStore` (plus the built world for ground-truth tests).
+One private driver, :func:`_run_campaign`, reproduces the paper's data
+collection for either network: build the world, attach the instrumented
+client, issue the query workload on a fixed cadence for the configured
+number of virtual days, download and scan every response, and return the
+filled :class:`MeasurementStore` (plus the built world for ground-truth
+tests).  ``run_limewire_campaign`` / ``run_openft_campaign`` are its two
+entry points; each passes in its network's parts (profile, strain
+corpus, world builder, collector class and settle segments).
+:func:`campaign_runner` picks one by network name.
+
+The entry points stay separate module-level names, and each looks up
+its world builder and collector class at call time, because the
+campaign benchmark (``perfbench/``) rebinds the entry points and the
+world builders by name, and replaces each collector's ``__init__``, to
+time the set-up and the world build.  A per-network table built at
+import would keep the unwrapped functions.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from ...faults import FaultInjector, FaultPlan, FetchFaults
 from ...malware.corpus import limewire_strains, openft_strains
+from ...malware.strain import MalwareStrain
 from ...peers.population import (BuiltWorld, build_gnutella_world,
                                  build_openft_world)
 from ...peers.profiles import GnutellaProfile, OpenFTProfile
@@ -29,8 +42,8 @@ from .download import Downloader, DownloadPolicy
 from .queries import QueryWorkload
 from .store import MeasurementStore
 
-__all__ = ["CampaignConfig", "CampaignResult", "default_profile",
-           "run_limewire_campaign", "run_openft_campaign"]
+__all__ = ["CampaignConfig", "CampaignResult", "campaign_runner",
+           "default_profile", "run_limewire_campaign", "run_openft_campaign"]
 
 #: generation-0 collection threshold while a built world runs (CPython's
 #: default is 700); the run allocates little cyclic garbage per event
@@ -50,6 +63,20 @@ def default_profile(network: str, scale: float = 1.0):
     else:
         raise ValueError(f"unknown network {network!r}")
     return profile.scaled(scale) if scale != 1.0 else profile
+
+
+def campaign_runner(network: str) -> Callable[..., CampaignResult]:
+    """The campaign entry point for ``network``, as bound right now.
+
+    Reads the module global on every call, so a caller that picks a
+    runner by network name reaches whatever the name is bound to
+    (perfbench wraps both entry points by name).
+    """
+    if network == "limewire":
+        return run_limewire_campaign
+    elif network == "openft":
+        return run_openft_campaign
+    raise ValueError(f"unknown network {network!r}")
 
 
 @dataclass(frozen=True)
@@ -75,18 +102,13 @@ class CampaignConfig:
     #: declarative fault schedule; None (the default) runs the campaign
     #: bit-identically to a build without the chaos harness
     fault_plan: Optional[FaultPlan] = None
-    #: kernel shards the campaign runs across; 1 (the default) is the
-    #: plain single-process kernel, N >= 2 routes through the sharded
-    #: driver in :mod:`repro.core.sharded`
-    shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.duration_days <= 0:
+        # written so nan fails too; inf would never reach its horizon
+        if not 0 < self.duration_days < math.inf:
             raise ValueError("duration_days must be positive")
-        if self.query_interval_s <= 0:
+        if not 0 < self.query_interval_s < math.inf:
             raise ValueError("query_interval_s must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
 
 @dataclass
@@ -104,9 +126,6 @@ class CampaignResult:
     #: the transport fault injector when a plan was armed (exposes the
     #: per-kind injection tallies)
     faults: Optional[FaultInjector] = None
-    #: the :class:`~repro.core.sharded.ShardReport` when the campaign
-    #: ran sharded; None for the plain single-process kernel
-    shards: Optional[object] = None
 
     @property
     def sim(self) -> Simulator:
@@ -227,119 +246,85 @@ def _run(config: CampaignConfig, world: BuiltWorld, collector,
             telemetry.journal.close(sim)
 
 
+def _run_campaign(network: str, config: Optional[CampaignConfig],
+                  profile, strains: Sequence[MalwareStrain],
+                  build: Callable[..., BuiltWorld], collector_cls,
+                  telemetry: Optional[CampaignTelemetry],
+                  settle_s: Optional[Tuple[float, float]] = None,
+                  ) -> CampaignResult:
+    """Run one campaign from its network's parts.
+
+    ``settle_s`` is ``(until_s, after_s)``: run the world to ``until_s``
+    before the crawler bootstraps, and ``after_s`` more once it has
+    (OpenFT's child adoption and share sync need both); None measures
+    right after the build.
+    """
+    config = config or CampaignConfig()
+    registry = telemetry.registry if telemetry is not None else None
+    tracer = telemetry.tracer if telemetry is not None else None
+    sim = Simulator(seed=config.seed,
+                    telemetry=telemetry.kernel if telemetry else None)
+    horizon = days(config.duration_days)
+    with _frozen_world(build, sim, profile, strains, horizon) as world:
+        injector, fetch_faults = _arm_faults(config, world, registry)
+        if settle_s:
+            sim.run_until(settle_s[0])
+        crawler = world.network.bootstrap_crawler("crawler",
+                                                  _crawler_address(world))
+        if settle_s:
+            sim.run_until(sim.now + settle_s[1])
+        store = MeasurementStore(network)
+        engine = ScanEngine(database_for_strains(strains,
+                                                 config.scanner_coverage),
+                            registry=registry)
+        downloader = Downloader(sim, engine, config.download_policy,
+                                registry=registry, tracer=tracer,
+                                faults=fetch_faults)
+        collector = collector_cls(sim, world.network, crawler, store,
+                                  downloader, registry=registry,
+                                  tracer=tracer)
+        workload = QueryWorkload.from_catalog(
+            world.catalog, sim.stream("campaign:workload"),
+            popular_works=config.popular_works)
+
+        if telemetry is not None:
+            _install_journal(telemetry, sim, store, engine, downloader,
+                             until=horizon + config.drain_s)
+        _run(config, world, collector, workload, telemetry)
+    return CampaignResult(store=store, world=world, config=config,
+                          engine=engine, telemetry=telemetry,
+                          faults=injector)
+
+
 def run_limewire_campaign(config: Optional[CampaignConfig] = None,
                           profile: Optional[GnutellaProfile] = None,
                           telemetry: Optional[CampaignTelemetry] = None,
-                          *, attempt: int = 0,
-                          shard_executor: str = "auto") -> CampaignResult:
+                          ) -> CampaignResult:
     """Reproduce the Limewire side of the measurement.
 
     ``telemetry`` threads one :class:`CampaignTelemetry` bundle through
     the kernel, scanner, downloader and collector; results are
     bit-identical with or without it (the journal only reads state).
-    ``config.shards >= 2`` hands the run to the sharded driver;
-    ``attempt`` and ``shard_executor`` only matter there.
     """
-    config = config or CampaignConfig()
-    if config.shards > 1:
-        from ..sharded import run_sharded_campaign
-        return run_sharded_campaign("limewire", config, profile=profile,
-                                    telemetry=telemetry,
-                                    executor=shard_executor,
-                                    attempt=attempt)
-    profile = profile or GnutellaProfile()
-    strains = limewire_strains()
-
-    registry = telemetry.registry if telemetry is not None else None
-    tracer = telemetry.tracer if telemetry is not None else None
-    sim = Simulator(seed=config.seed,
-                    telemetry=telemetry.kernel if telemetry else None)
-    horizon = days(config.duration_days)
-    with _frozen_world(build_gnutella_world, sim, profile, strains,
-                       horizon) as world:
-        injector, fetch_faults = _arm_faults(config, world, registry)
-
-        crawler = world.network.bootstrap_crawler("crawler",
-                                                  _crawler_address(world))
-        store = MeasurementStore("limewire")
-        engine = ScanEngine(database_for_strains(strains,
-                                                 config.scanner_coverage),
-                            registry=registry)
-        downloader = Downloader(sim, engine, config.download_policy,
-                                registry=registry, tracer=tracer,
-                                faults=fetch_faults)
-        collector = LimewireCollector(sim, world.network, crawler, store,
-                                      downloader, registry=registry,
-                                      tracer=tracer)
-        workload = QueryWorkload.from_catalog(
-            world.catalog, sim.stream("campaign:workload"),
-            popular_works=config.popular_works)
-
-        if telemetry is not None:
-            _install_journal(telemetry, sim, store, engine, downloader,
-                             until=horizon + config.drain_s)
-        _run(config, world, collector, workload, telemetry)
-    return CampaignResult(store=store, world=world, config=config,
-                          engine=engine, telemetry=telemetry,
-                          faults=injector)
+    return _run_campaign("limewire", config, profile or GnutellaProfile(),
+                         limewire_strains(), build_gnutella_world,
+                         LimewireCollector, telemetry)
 
 
 def run_openft_campaign(config: Optional[CampaignConfig] = None,
                         profile: Optional[OpenFTProfile] = None,
                         telemetry: Optional[CampaignTelemetry] = None,
-                        *, attempt: int = 0,
-                        shard_executor: str = "auto") -> CampaignResult:
+                        ) -> CampaignResult:
     """Reproduce the OpenFT side of the measurement.
 
-    ``telemetry`` and the sharded dispatch work exactly as in
+    The world runs 300 s for child adoption and the initial share syncs
+    before the crawler bootstraps, then 60 s more for its node-list
+    discovery and adoption.  ``telemetry`` works as in
     :func:`run_limewire_campaign`.
     """
-    config = config or CampaignConfig()
-    if config.shards > 1:
-        from ..sharded import run_sharded_campaign
-        return run_sharded_campaign("openft", config, profile=profile,
-                                    telemetry=telemetry,
-                                    executor=shard_executor,
-                                    attempt=attempt)
-    profile = profile or OpenFTProfile()
-    strains = openft_strains()
-
-    registry = telemetry.registry if telemetry is not None else None
-    tracer = telemetry.tracer if telemetry is not None else None
-    sim = Simulator(seed=config.seed,
-                    telemetry=telemetry.kernel if telemetry else None)
-    horizon = days(config.duration_days)
-    with _frozen_world(build_openft_world, sim, profile, strains,
-                       horizon) as world:
-        injector, fetch_faults = _arm_faults(config, world, registry)
-        # let child adoptions and initial share syncs settle before
-        # measuring
-        sim.run_until(300.0)
-
-        crawler = world.network.bootstrap_crawler("crawler",
-                                                  _crawler_address(world))
-        sim.run_until(sim.now + 60.0)  # node-list discovery + adoption
-        store = MeasurementStore("openft")
-        engine = ScanEngine(database_for_strains(strains,
-                                                 config.scanner_coverage),
-                            registry=registry)
-        downloader = Downloader(sim, engine, config.download_policy,
-                                registry=registry, tracer=tracer,
-                                faults=fetch_faults)
-        collector = OpenFTCollector(sim, world.network, crawler, store,
-                                    downloader, registry=registry,
-                                    tracer=tracer)
-        workload = QueryWorkload.from_catalog(
-            world.catalog, sim.stream("campaign:workload"),
-            popular_works=config.popular_works)
-
-        if telemetry is not None:
-            _install_journal(telemetry, sim, store, engine, downloader,
-                             until=horizon + config.drain_s)
-        _run(config, world, collector, workload, telemetry)
-    return CampaignResult(store=store, world=world, config=config,
-                          engine=engine, telemetry=telemetry,
-                          faults=injector)
+    return _run_campaign("openft", config, profile or OpenFTProfile(),
+                         openft_strains(), build_openft_world,
+                         OpenFTCollector, telemetry, settle_s=(300.0, 60.0))
 
 
 def _crawler_address(world: BuiltWorld):

@@ -24,8 +24,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
-__all__ = ["resolve_workers", "parallel_map", "merge_worker_registries",
-           "merge_shard_snapshots"]
+__all__ = ["resolve_workers", "parallel_map", "merge_worker_registries"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -105,15 +104,3 @@ def merge_worker_registries(parent, snapshots: Iterable[dict]):
         parent.merge_snapshot(snapshot)
     return parent
 
-
-def merge_shard_snapshots(parent, snapshots: Iterable[dict]):
-    """Fold per-shard telemetry snapshots into the campaign registry.
-
-    The sharded kernel's worker shards (shards 1..N-1, which run
-    telemetry-less except for their shard-labelled tallies) ship the
-    same picklable ``registry.snapshot()`` dicts replication workers
-    do, and the same merge algebra applies -- shards are merged in
-    shard order, so the fold is deterministic.  Distinct ``shard``
-    labels keep per-shard gauges from colliding.  Returns ``parent``.
-    """
-    return merge_worker_registries(parent, snapshots)

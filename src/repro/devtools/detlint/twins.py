@@ -1,11 +1,9 @@
 """Twin registry + drift checker (TWN001).
 
-Some code comes in pairs that must stay in step: ``patch_ttl_hops``
-vs the full ``frame`` encoder, the sharded kernel's owner-filtered
-send vs ``Transport.send``, the serial vs the process shard executor.
-Runtime checks (the golden campaign fixtures, ``selfcheck
---shard-equivalence``) are a *late* signal -- you learn about drift
-from a digest mismatch three layers away.  This pass makes the pairing
+Some code comes in pairs that must stay in step, such as
+``patch_ttl_hops`` vs the full ``frame`` encoder.  Runtime checks (the
+golden campaign fixtures, ``selfcheck``) are a *late* signal -- you
+learn about drift from a digest mismatch three layers away.  This pass makes the pairing
 a declared, versioned contract: ``pyproject.toml`` carries a
 ``[tool.detlint.twins]`` table naming every pair and the *mirror
 obligations* both sides must keep satisfying, and the checker projects
@@ -33,8 +31,8 @@ Obligations (each projects a function/class body to a set of strings):
     delivery, telemetry hooks, sends) -- both sides must deliver
     through exactly the same calls.
 ``api``
-    public method names of a class pair (the two shard executors
-    expose the same surface).
+    public method names of a class pair (both sides expose the same
+    surface).
 
 Members are written ``"pkg.module:Qual.name"``; a member that cannot
 be resolved is itself a TWN001 (a renamed twin must rename its

@@ -23,16 +23,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.experiments import HEADLINE_METRICS
-from ..core.measure.campaign import (CampaignConfig, run_limewire_campaign,
-                                     run_openft_campaign)
+from ..core.measure.campaign import (CampaignConfig, campaign_runner,
+                                     default_profile)
 from ..telemetry.runtime import CampaignTelemetry
 from .sanitizer import (DeterminismSanitizer, EntropyViolation, EventDigest,
                         LockOrderRecorder)
 
-__all__ = ["SeedCheck", "SelfcheckReport", "ShardEquivalenceCheck",
-           "LockOrderReport", "run_digest_campaign",
-           "run_shard_equivalence_check", "run_lock_order_check",
-           "run_selfcheck"]
+__all__ = ["SeedCheck", "SelfcheckReport", "LockOrderReport",
+           "run_digest_campaign", "run_lock_order_check", "run_selfcheck"]
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,8 @@ def run_digest_campaign(network: str, seed: int, days: float = 0.1,
     kernel instrumentation, so the check exercises the same
     instrumented kernel loop production telemetry uses.
     """
-    profile = _scaled_profile(network, scale)  # rejects unknown networks
-    runner = (run_limewire_campaign if network == "limewire"
-              else run_openft_campaign)
+    profile = default_profile(network, scale)  # rejects unknown networks
+    runner = campaign_runner(network)
     digest = EventDigest()
     telemetry = CampaignTelemetry()
     telemetry.kernel.on_event = digest.on_event  # per-event kernel hook
@@ -126,157 +123,6 @@ def run_digest_campaign(network: str, seed: int, days: float = 0.1,
                for name, fn in HEADLINE_METRICS[network].items()}
     return (digest.hexdigest(), digest.events, metrics,
             result.store.content_digest())
-
-
-def _scaled_profile(network: str, scale: float):
-    if network == "limewire":
-        from ..peers.profiles import GnutellaProfile
-        return GnutellaProfile().scaled(scale)
-    if network == "openft":
-        from ..peers.profiles import OpenFTProfile
-        return OpenFTProfile().scaled(scale)
-    raise ValueError(f"unknown network {network!r}")
-
-
-def _sharded_campaign(network: str, seed: int, days: float, scale: float,
-                      shards: int = 1, force_windows: bool = False,
-                      with_telemetry: bool = True, sanitize: bool = True,
-                      ) -> Tuple[Optional[str], Dict[str, float], str, int]:
-    """One serial sharded campaign.
-
-    Returns ``(digest, metrics, store sha, windows)``; the digest is
-    None on the telemetry-less legs (matching the plain runner, whose
-    kernel is uninstrumented without telemetry).
-    """
-    from ..core.sharded import run_sharded_campaign
-
-    profile = _scaled_profile(network, scale)
-    config = CampaignConfig(seed=seed, duration_days=days, shards=shards)
-    telemetry = CampaignTelemetry() if with_telemetry else None
-    kwargs = dict(profile=profile, telemetry=telemetry, executor="serial",
-                  collect_digest=with_telemetry,
-                  force_windows=force_windows)
-    if sanitize:
-        with DeterminismSanitizer(mode="raise"):
-            result = run_sharded_campaign(network, config, **kwargs)
-    else:
-        result = run_sharded_campaign(network, config, **kwargs)
-    metrics = {name: fn(result)
-               for name, fn in HEADLINE_METRICS[network].items()}
-    return (result.shards.digest, metrics, result.store.content_digest(),
-            result.shards.windows)
-
-
-@dataclass(frozen=True)
-class ShardEquivalenceCheck:
-    """Sharded-kernel determinism evidence for one (network, seed).
-
-    Three claims, each checked directly:
-
-    * ``shards=1`` is bit-identical to the plain kernel -- event digest,
-      store sha256 and headline metrics all match, with telemetry on
-      *and* off;
-    * the window loop itself preserves that identity -- a ``shards=1``
-      run forced through the full conservative-window machinery
-      (``force_windows``) still matches the plain digest exactly;
-    * N-shard results are invariant in N -- the ``MeasurementStore``
-      content digests of the two N-shard legs (default N=2 and N=3)
-      are identical.
-    """
-
-    network: str
-    seed: int
-    plain_digest: str
-    single_digest: str
-    windowed_digest: str
-    plain_store_sha256: str
-    single_store_sha256: str
-    windowed_store_sha256: str
-    bare_plain_store_sha256: str
-    bare_single_store_sha256: str
-    nshard_store_sha256: str
-    nshard_alt_store_sha256: str
-    nshards: Tuple[int, int]
-    windows: int
-    metrics_plain: Dict[str, float]
-    metrics_single: Dict[str, float]
-    metrics_nshard: Dict[str, float]
-
-    @property
-    def single_shard_identical(self) -> bool:
-        return (self.plain_digest == self.single_digest == self.windowed_digest
-                and self.plain_store_sha256 == self.single_store_sha256
-                == self.windowed_store_sha256
-                and self.bare_plain_store_sha256
-                == self.bare_single_store_sha256
-                and self.metrics_plain == self.metrics_single)
-
-    @property
-    def n_invariant(self) -> bool:
-        return self.nshard_store_sha256 == self.nshard_alt_store_sha256
-
-    @property
-    def ok(self) -> bool:
-        return self.single_shard_identical and self.n_invariant
-
-    def render(self) -> str:
-        verdict = "OK" if self.ok else "DIVERGED"
-        lines = [f"seed {self.seed:>3d} ({self.network}): sharded kernel "
-                 f"-> {verdict}",
-                 f"    shards=1 == plain: "
-                 + ("yes" if self.single_shard_identical else "NO"),
-                 f"    windowed shards=1 ({self.windows} windows) digest: "
-                 f"{self.windowed_digest[:16]}...",
-                 f"    shards={self.nshards[0]} vs shards={self.nshards[1]} "
-                 f"stores: "
-                 + ("identical" if self.n_invariant else
-                    f"DIFFER ({self.nshard_store_sha256[:16]}... != "
-                    f"{self.nshard_alt_store_sha256[:16]}...)")]
-        if self.plain_digest != self.single_digest:
-            lines.append(f"    digests: plain {self.plain_digest[:16]}... "
-                         f"!= shards=1 {self.single_digest[:16]}...")
-        if self.metrics_plain != self.metrics_single:
-            lines.append(f"    metrics diverged: {self.metrics_plain} != "
-                         f"{self.metrics_single}")
-        return "\n".join(lines)
-
-
-def run_shard_equivalence_check(network: str, seed: int, days: float = 0.05,
-                                scale: float = 0.35, sanitize: bool = True,
-                                nshards: Tuple[int, int] = (2, 3),
-                                ) -> ShardEquivalenceCheck:
-    """Prove the sharded kernel's determinism contract for one seed."""
-    plain = run_digest_campaign(network, seed, days, scale, sanitize)
-    single = _sharded_campaign(network, seed, days, scale, shards=1,
-                               sanitize=sanitize)
-    windowed = _sharded_campaign(network, seed, days, scale, shards=1,
-                                 force_windows=True, sanitize=sanitize)
-
-    profile = _scaled_profile(network, scale)
-    config = CampaignConfig(seed=seed, duration_days=days)
-    runner = (run_limewire_campaign if network == "limewire"
-              else run_openft_campaign)
-    bare_plain = runner(config, profile=profile).store.content_digest()
-    bare_single = _sharded_campaign(network, seed, days, scale, shards=1,
-                                    with_telemetry=False, sanitize=False)
-
-    nshard = _sharded_campaign(network, seed, days, scale,
-                               shards=nshards[0], sanitize=sanitize)
-    nshard_alt = _sharded_campaign(network, seed, days, scale,
-                                   shards=nshards[1], sanitize=sanitize)
-    return ShardEquivalenceCheck(
-        network=network, seed=seed,
-        plain_digest=plain[0], single_digest=single[0],
-        windowed_digest=windowed[0],
-        plain_store_sha256=plain[3], single_store_sha256=single[2],
-        windowed_store_sha256=windowed[2],
-        bare_plain_store_sha256=bare_plain,
-        bare_single_store_sha256=bare_single[2],
-        nshard_store_sha256=nshard[2],
-        nshard_alt_store_sha256=nshard_alt[2],
-        nshards=nshards, windows=windowed[3],
-        metrics_plain=plain[2], metrics_single=single[1],
-        metrics_nshard=nshard[1])
 
 
 def _probe_sanitizer() -> bool:
@@ -355,16 +201,8 @@ def run_lock_order_check(network: str = "limewire", seed: int = 1,
 
     from ..telemetry.httpd import ObservatoryHub, TelemetryServer
 
-    if network == "limewire":
-        runner = run_limewire_campaign
-        from ..peers.profiles import GnutellaProfile
-        profile = GnutellaProfile().scaled(scale)
-    elif network == "openft":
-        runner = run_openft_campaign
-        from ..peers.profiles import OpenFTProfile
-        profile = OpenFTProfile().scaled(scale)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    runner = campaign_runner(network)  # rejects unknown networks
+    profile = default_profile(network, scale)
 
     scrapes = [0]
     with LockOrderRecorder() as recorder:

@@ -28,14 +28,14 @@ supervised pool in :mod:`repro.resilience.supervisor`, and chaotic IO
 from .injectors import (FaultInjector, FetchFaults, FetchIntervention,
                         HostIOFaults)
 from .plan import (DiskFull, FaultPlan, InjectedWorkerCrash, LatencyStorm,
-                   LossBurst, Partition, PeerCrash, ShardCrash, SlowFsync,
-                   SlowServe, Tamper, TornWrite, WorkerCrash, WorkerHang,
-                   WorkerStall, SEVERITIES)
+                   LossBurst, Partition, PeerCrash, SlowFsync, SlowServe,
+                   Tamper, TornWrite, WorkerCrash, WorkerHang, WorkerStall,
+                   SEVERITIES)
 
 __all__ = [
     "FaultPlan", "LossBurst", "LatencyStorm", "Partition", "PeerCrash",
     "SlowServe", "Tamper", "WorkerCrash", "WorkerHang", "WorkerStall",
-    "ShardCrash", "TornWrite", "DiskFull", "SlowFsync",
-    "InjectedWorkerCrash", "SEVERITIES", "FaultInjector", "FetchFaults",
-    "FetchIntervention", "HostIOFaults",
+    "TornWrite", "DiskFull", "SlowFsync", "InjectedWorkerCrash",
+    "SEVERITIES", "FaultInjector", "FetchFaults", "FetchIntervention",
+    "HostIOFaults",
 ]

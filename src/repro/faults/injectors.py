@@ -42,18 +42,10 @@ class _StormLatency:
         storms = self._injector._active_storms
         if not storms:
             return base
-        if getattr(self._injector.transport, "shard_active", False):
-            # shard mode: the shared faults:latency stream would be
-            # consumed in per-shard order.  The transport already hands
-            # us its per-source stream -- whose draw order is the
-            # sender's own send order, invariant under the partition --
-            # so the surcharge rides the same stream as the base delay.
-            source = stream
-        else:
-            source = self._injector._latency_stream
         extra = 0.0
         for storm in storms:
-            extra += source.uniform(storm.extra_min_s, storm.extra_max_s)
+            extra += self._injector._latency_stream.uniform(
+                storm.extra_min_s, storm.extra_max_s)
         self._injector._count("latency")
         return base + extra
 
@@ -81,9 +73,6 @@ class FaultInjector:
                 labels=("kind",))
         self._loss_stream = sim.stream("faults:loss")
         self._latency_stream = sim.stream("faults:latency")
-        #: shard mode only: per-(src, dst) loss-burst streams (see
-        #: _burst_stream)
-        self._pair_loss_streams: Dict[tuple, SeededStream] = {}
         self._partition_stream = sim.stream("faults:partition")
         self._crash_stream = sim.stream("faults:crash")
         self._active_loss: List[LossBurst] = []
@@ -221,35 +210,8 @@ class FaultInjector:
                 self.transport.set_online(endpoint_id, False)
                 self._count("crash")
 
-    def _burst_stream(self, envelope: Envelope) -> SeededStream:
-        """The stream a loss-burst draw for this envelope comes from.
-
-        Plain kernel: the shared ``faults:loss`` stream (one draw per
-        intercepted delivery, in global delivery order).  Shard mode:
-        that global order does not exist -- each shard only sees its own
-        deliveries -- so draws move to per-``(src, dst)`` streams whose
-        order is the src->dst delivery order, which every partition
-        agrees on.
-        """
-        if not getattr(self.transport, "shard_active", False):
-            return self._loss_stream
-        key = (envelope.src, envelope.dst)
-        stream = self._pair_loss_streams.get(key)
-        if stream is None:
-            stream = self.sim.stream(f"faults:loss:{key[0]}:{key[1]}")
-            self._pair_loss_streams[key] = stream
-        return stream
-
     def _intercept(self, envelope: Envelope) -> bool:
-        """True when the envelope dies here instead of being delivered.
-
-        Every decision here is safe under sharding: blackhole and
-        partition membership derive from replicated draws over the
-        replicated endpoint census (identical on all shards), and the
-        per-envelope check reads only the envelope -- the one
-        stochastic decision, loss bursts, draws from a stream keyed so
-        its order is partition-invariant (see :meth:`_burst_stream`).
-        """
+        """True when the envelope dies here instead of being delivered."""
         if envelope.src in self._blackholed or \
                 envelope.dst in self._blackholed:
             self._drop("blackhole-drop")
@@ -259,7 +221,7 @@ class FaultInjector:
                 self._drop("partition-drop")
                 return True
         for burst in self._active_loss:
-            if self._burst_stream(envelope).bernoulli(burst.loss_rate):
+            if self._loss_stream.bernoulli(burst.loss_rate):
                 self._drop("loss")
                 return True
         return False

@@ -20,8 +20,8 @@ from typing import Optional, Tuple, Union
 
 __all__ = ["LossBurst", "LatencyStorm", "Partition", "PeerCrash",
            "SlowServe", "Tamper", "WorkerCrash", "WorkerHang",
-           "WorkerStall", "ShardCrash", "TornWrite", "DiskFull",
-           "SlowFsync", "InjectedWorkerCrash", "FaultPlan", "SEVERITIES"]
+           "WorkerStall", "TornWrite", "DiskFull", "SlowFsync",
+           "InjectedWorkerCrash", "FaultPlan", "SEVERITIES"]
 
 
 class InjectedWorkerCrash(RuntimeError):
@@ -229,46 +229,6 @@ class WorkerStall:
 
 
 @dataclass(frozen=True)
-class ShardCrash:
-    """Pipeline-level chaos: SIGKILL one shard worker of named seeds.
-
-    The multi-process shard executor kills its own worker for ``shard``
-    after ``after_windows`` barrier rounds -- mid-campaign, with
-    cross-shard envelopes in flight -- which the supervisor above sees
-    as a failed seed and routes through the PR 9 retry/quarantine path.
-    ``attempts`` counts how many attempts get the kill before the seed
-    runs clean (2 = the retry is killed too, forcing quarantine).
-    Enforced by the executor in the parent process, never inside the
-    simulator; like every host clause it is excluded from
-    ``scientific_key`` because killing the host cannot change a
-    surviving seed's measured bytes.
-    """
-
-    seeds: Tuple[int, ...]
-    attempts: int = 1
-    #: which shard's worker dies (shard 0 runs in the parent and has no
-    #: worker to kill)
-    shard: int = 1
-    #: how many conservative windows complete before the kill
-    after_windows: int = 3
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts!r}")
-        if self.shard < 1:
-            raise ValueError(f"shard must be >= 1 (shard 0 is the parent), "
-                             f"got {self.shard!r}")
-        if self.after_windows < 0:
-            raise ValueError(f"after_windows must be >= 0, "
-                             f"got {self.after_windows!r}")
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-
-    def should_kill(self, seed: int, attempt: int) -> bool:
-        """True when ``seed``'s shard worker must die on ``attempt``."""
-        return seed in self.seeds and attempt < self.attempts
-
-
-@dataclass(frozen=True)
 class TornWrite:
     """Chaotic IO: truncate a fraction of artifact appends mid-record.
 
@@ -335,8 +295,6 @@ class FaultPlan:
     worker_crash: Optional[WorkerCrash] = None
     worker_hang: Optional[WorkerHang] = None
     worker_stall: Optional[WorkerStall] = None
-    #: host clause enforced by the sharded campaign executor
-    shard_crash: Optional[ShardCrash] = None
     #: chaotic-IO clauses enforced against artifact writes on the host
     io_clauses: Tuple[object, ...] = ()
 
@@ -356,8 +314,7 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.clauses) or bool(self.io_clauses) or any(
             clause is not None for clause in
-            (self.worker_crash, self.worker_hang, self.worker_stall,
-             self.shard_crash))
+            (self.worker_crash, self.worker_hang, self.worker_stall))
 
     @property
     def transport_clauses(self) -> Tuple[object, ...]:
@@ -386,8 +343,7 @@ class FaultPlan:
     def describe(self) -> str:
         """One line per clause, for chaos-run banners."""
         host = [clause for clause in
-                (self.worker_crash, self.worker_hang, self.worker_stall,
-                 self.shard_crash)
+                (self.worker_crash, self.worker_hang, self.worker_stall)
                 if clause is not None]
         if not self.clauses and not host and not self.io_clauses:
             return "(empty plan)"

@@ -208,14 +208,6 @@ class GnutellaNetwork:
         target = self.servent_by_guid(responder_guid)
         if target is None:
             return False
-        if getattr(self.transport, "shard_active", False):
-            # shard mode: push routes were recorded while QueryHits
-            # travelled -- state only the hops' owner shards observed,
-            # so the local route chain may be a stale replica.  The
-            # measurement-relevant outcome is whether the responder is
-            # reachable, decided draw-free from replicated session
-            # state (set_online fires on every shard).
-            return target.is_online()
         push = Push(servent_guid=responder_guid, file_index=file_index,
                     address=requester.advertised_address,
                     port=requester.port)
@@ -274,20 +266,10 @@ class GnutellaNetwork:
                 return None  # PUSH route dead
         request = HttpRequest.decode(
             gnutella_urn_request(sha1_urn).encode())
-        if getattr(self.transport, "shard_active", False):
-            # shard mode: the servent's own stream also advances on its
-            # owner shard's message handling, which the measurement
-            # shard does not replay -- draw busyness from a dedicated
-            # per-endpoint stream whose order is the fetch order,
-            # invariant under the partition
-            busy_stream = self.sim.stream(
-                f"shard:fetch:{servent.endpoint_id}")
-        else:
-            busy_stream = servent.stream
         response_head, blob = serve_request(
             request,
             resolve=lambda urn: self._resolve_content(servent, urn),
-            is_busy=busy_stream.bernoulli(self.BUSY_PROBABILITY),
+            is_busy=servent.stream.bernoulli(self.BUSY_PROBABILITY),
             server=servent.user_agent)
         response = HttpResponse.decode(response_head.encode())
         if not response.ok or blob is None:

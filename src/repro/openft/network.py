@@ -194,19 +194,6 @@ class OpenFTNetwork:
         push = PushRequest(host=requester.advertised_address,
                            port=requester.port, md5=md5)
         wire = encode_packet(push)
-        if getattr(self.transport, "shard_active", False):
-            # shard mode: adoption state (parent_ids, _children) lives
-            # on the endpoints' owner shards; the replicas here are
-            # stale.  Decide relayability from the build-time parent
-            # wish-list plus replicated session state, draw-free.
-            for parent_id in self.desired_parents.get(
-                    responder.endpoint_id, []):
-                parent = self.nodes.get(parent_id)
-                if parent is None or not parent.is_online():
-                    continue
-                decode_packet(wire)  # the parent parses and relays it
-                return True
-            return False
         for parent_id in responder.parent_ids:
             parent = self.nodes.get(parent_id)
             if parent is None or not parent.is_online():
@@ -238,17 +225,10 @@ class OpenFTNetwork:
             if not self.relay_push(requester_id, node, md5):
                 return None
         request = HttpRequest.decode(openft_request(md5).encode())
-        if getattr(self.transport, "shard_active", False):
-            # shard mode: see GnutellaNetwork.fetch -- busyness draws
-            # move to a per-endpoint stream whose order is the fetch
-            # order, invariant under the partition
-            busy_stream = self.sim.stream(f"shard:fetch:{node.endpoint_id}")
-        else:
-            busy_stream = node.stream
         response_head, blob = serve_request(
             request,
             resolve=lambda key: self._resolve_content(node, key),
-            is_busy=busy_stream.bernoulli(self.BUSY_PROBABILITY),
+            is_busy=node.stream.bernoulli(self.BUSY_PROBABILITY),
             server="giFT/0.11.8 (OpenFT)")
         response = HttpResponse.decode(response_head.encode())
         if not response.ok or blob is None:

@@ -137,17 +137,9 @@ def _start_churn(world: BuiltWorld, endpoint_id: str, profile,
 
 def build_gnutella_world(sim: Simulator, profile: GnutellaProfile,
                          strains: Sequence[MalwareStrain],
-                         horizon_s: float,
-                         transport: Optional[Transport] = None) -> BuiltWorld:
-    """Assemble the Limewire-side world described by ``profile``.
-
-    ``transport`` lets the sharded kernel inject a
-    :class:`~repro.simnet.shard.ShardedTransport`; the build itself is
-    transport-agnostic (the plan is bound only after building, so all
-    build-time traffic runs the plain path).
-    """
-    if transport is None:
-        transport = Transport(sim, loss_rate=profile.loss_rate)
+                         horizon_s: float) -> BuiltWorld:
+    """Assemble the Limewire-side world described by ``profile``."""
+    transport = Transport(sim, loss_rate=profile.loss_rate)
     allocator = AddressAllocator(sim.stream("gnutella:addr"))
     catalog = ContentCatalog(profile.catalog, sim.stream("gnutella:catalog"))
     pop_stream = sim.stream("gnutella:population")
@@ -276,14 +268,9 @@ def build_gnutella_world(sim: Simulator, profile: GnutellaProfile,
 
 def build_openft_world(sim: Simulator, profile: OpenFTProfile,
                        strains: Sequence[MalwareStrain],
-                       horizon_s: float,
-                       transport: Optional[Transport] = None) -> BuiltWorld:
-    """Assemble the OpenFT-side world described by ``profile``.
-
-    ``transport`` works as in :func:`build_gnutella_world`.
-    """
-    if transport is None:
-        transport = Transport(sim, loss_rate=profile.loss_rate)
+                       horizon_s: float) -> BuiltWorld:
+    """Assemble the OpenFT-side world described by ``profile``."""
+    transport = Transport(sim, loss_rate=profile.loss_rate)
     allocator = AddressAllocator(sim.stream("openft:addr"))
     catalog = ContentCatalog(profile.catalog, sim.stream("openft:catalog"))
     pop_stream = sim.stream("openft:population")
@@ -377,19 +364,6 @@ def build_openft_world(sim: Simulator, profile: OpenFTProfile,
         def on_up() -> None:
             # re-announce shares; dropped/never-adopted parents re-adopt
             desired = network.desired_parents.get(user.endpoint_id, [])
-            if getattr(transport, "shard_active", False):
-                # shard mode: the adoption check below reads the
-                # parent's child registry, which lives on *its* owner
-                # shard -- a replica's copy is stale.  Re-handshake
-                # unconditionally instead (the real protocol's
-                # behaviour on reconnect): only the user's owner shard
-                # actually sends, and an already-adopted child's
-                # ChildRequest is answered idempotently.
-                for parent_id in desired:
-                    if parent_id in user.parent_ids:
-                        user.parent_ids.remove(parent_id)
-                    user.request_parent(parent_id)
-                return
             for parent_id in desired:
                 parent = search_index.get(parent_id)
                 if parent is None:
@@ -406,19 +380,6 @@ def build_openft_world(sim: Simulator, profile: OpenFTProfile,
         def on_down() -> None:
             def drop_if_still_offline() -> None:
                 if user.is_online():
-                    return
-                if getattr(transport, "shard_active", False):
-                    # shard mode: ``user.parent_ids`` is only accurate
-                    # on the user's owner shard, but this timer fires
-                    # replicated on every shard and each parent's drop
-                    # must land on the *parent's* owner.  Sweep the
-                    # build-time wish-list instead -- ``drop_child`` is
-                    # idempotent, so never-adopted parents are no-ops.
-                    for parent_id in network.desired_parents.get(
-                            user.endpoint_id, []):
-                        parent = search_index.get(parent_id)
-                        if parent is not None:
-                            parent.drop_child(user.endpoint_id)
                     return
                 for parent_id in user.parent_ids:
                     parent = search_index.get(parent_id)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.measure.campaign import CampaignConfig
+from repro.core.measure import campaign
+from repro.core.measure.campaign import CampaignConfig, campaign_runner
 
 
 class TestConfig:
@@ -11,6 +12,34 @@ class TestConfig:
             CampaignConfig(duration_days=0)
         with pytest.raises(ValueError):
             CampaignConfig(query_interval_s=-5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["duration_days", "query_interval_s"])
+    def test_rejects_non_finite(self, name, value):
+        # nan slips past a "<= 0" check, and an infinite campaign never
+        # reaches its horizon
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            CampaignConfig(**{name: value})
+
+
+class TestCampaignRunner:
+    @pytest.mark.parametrize("network, name", [
+        ("limewire", "run_limewire_campaign"),
+        ("openft", "run_openft_campaign"),
+    ])
+    def test_returns_the_entry_point_bound_now(self, network, name,
+                                               monkeypatch):
+        # the campaign benchmark rebinds both entry points by name; a
+        # caller that picks a runner by network must reach the rebound one
+        def rebound(*args, **kwargs):
+            raise AssertionError("never called")
+
+        monkeypatch.setattr(campaign, name, rebound)
+        assert campaign_runner(network) is rebound
+
+    def test_unknown_network_rejected(self):
+        with pytest.raises(ValueError, match="unknown network 'kazaa'"):
+            campaign_runner("kazaa")
 
 
 class TestLimewireCampaign:

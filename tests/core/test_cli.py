@@ -34,6 +34,28 @@ class TestParser:
             build_parser().parse_args(["analyze", "x.jsonl",
                                        "--table", "t99"])
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        "run --days", "replicate --days", "chaos --days", "chaos --scale",
+        "telemetry --days", "serve --days", "serve --scale",
+        "hotspots --days", "hotspots --scale", "selfcheck --days",
+        "selfcheck --scale", "profile limewire --days",
+        "profile limewire --scale",
+    ])
+    def test_campaign_length_and_scale_must_be_finite_positive(
+            self, command, value, capsys):
+        *words, option = command.split()
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*words, f"{option}={value}"])
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_analyze_days_accepts_zero(self):
+        # analyze reads a saved store; its --days only labels table T1
+        args = build_parser().parse_args(["analyze", "x.jsonl",
+                                          "--days", "0"])
+        assert args.days == 0.0
+
 
 class TestRun:
     def test_creates_store_file(self, saved_store):

@@ -220,7 +220,8 @@ class TestRealRegistry:
         from repro.devtools.detlint import collect_modules, load_config
         root = Path(__file__).resolve().parents[2]
         config = load_config(root)
-        assert len(config.twins) >= 3, "twin registry went missing"
+        assert [pair.name for pair in config.twins] == ["frame-patch"], (
+            "twin registry changed")
         modules = collect_modules(config)
         findings = [f for f in check_twins(modules, config.twins)]
         assert findings == []

@@ -2,13 +2,14 @@
 
 A small matrix of scaled-down campaigns (``DAYS`` virtual days at
 population scale ``SCALE``) covering both networks, telemetry on and
-off, an armed fault plan and the sharded kernel.  Each entry records
+off, and an armed fault plan.  Each entry records
 the measurement store's sha256 and the exact headline metrics; the
 telemetry entries add the kernel event-stream digest and event count
 (taken under the armed entropy sanitizer), the fault entry adds the
 injector tallies, and the two telemetry-off entries the sha256 of the
-``repro-study analyze`` report (all 14 tables) of their saved store.  ``golden_campaigns.json`` holds the committed values
-and ``test_golden.py`` demands every entry exactly.
+``repro-study analyze`` report (all 14 tables) of their saved store.
+``golden_campaigns.json`` holds the committed values and
+``test_golden.py`` demands every entry exactly.
 
 Any change to shared code that moves a single event, response or
 metric shows up here, which a run-against-run check cannot see.  When
@@ -34,10 +35,8 @@ import numpy
 
 from repro.cli import main as cli_main
 from repro.core.experiments import HEADLINE_METRICS
-from repro.core.measure.campaign import (CampaignConfig, default_profile,
-                                         run_limewire_campaign,
-                                         run_openft_campaign)
-from repro.core.sharded import run_sharded_campaign
+from repro.core.measure.campaign import (CampaignConfig, campaign_runner,
+                                         default_profile)
 from repro.devtools.selfcheck import run_digest_campaign
 from repro.faults import FaultPlan, LossBurst
 
@@ -54,8 +53,8 @@ class Case:
     """One campaign of the matrix.
 
     ``kind`` is ``digest`` (telemetry on, event digest, sanitizer
-    armed), ``bare`` (telemetry off), ``faults`` (telemetry off,
-    ``LOSS_BURST`` armed) or ``shards`` (two shards, serial executor).
+    armed), ``bare`` (telemetry off) or ``faults`` (telemetry off,
+    ``LOSS_BURST`` armed).
     """
 
     network: str
@@ -72,7 +71,6 @@ MATRIX = (
     Case("openft", 5, "digest"), Case("openft", 23, "digest"),
     Case("limewire", 9, "bare"), Case("openft", 9, "bare"),
     Case("limewire", 13, "faults"),
-    Case("limewire", 5, "shards"), Case("openft", 5, "shards"),
 )
 
 
@@ -104,17 +102,10 @@ def fingerprint(case: Case) -> Dict[str, object]:
             "store_sha256": store_sha, "metrics": metrics}
     else:
         config = CampaignConfig(seed=case.seed, duration_days=DAYS)
-        profile = default_profile(case.network, SCALE)
-        if case.kind == "shards":
-            result = run_sharded_campaign(
-                case.network, replace(config, shards=2), profile=profile,
-                executor="serial")
-        else:
-            if case.kind == "faults":
-                config = replace(config, fault_plan=LOSS_BURST)
-            runner = (run_limewire_campaign if case.network == "limewire"
-                      else run_openft_campaign)
-            result = runner(config, profile=profile)
+        if case.kind == "faults":
+            config = replace(config, fault_plan=LOSS_BURST)
+        result = campaign_runner(case.network)(
+            config, profile=default_profile(case.network, SCALE))
         entry = {"store_sha256": result.store.content_digest(),
                  "metrics": _headline(case.network, result)}
         if case.kind == "faults":

@@ -167,67 +167,3 @@ class TestSupervisedBitIdentity:
             policy=SupervisionPolicy(deadline_s=300, stall_timeout_s=30))
         assert supervised == expected
 
-
-SHARD_SEEDS = (1, 2, 3)
-
-
-def sharded_config(fault_plan=None):
-    return CampaignConfig(seed=0, duration_days=0.02, drain_s=300.0,
-                          shards=2, fault_plan=fault_plan)
-
-
-def run_sharded_replications(fault_plan=None, checkpoint=None):
-    return run_replications(
-        "limewire", seeds=SHARD_SEEDS, config=sharded_config(fault_plan),
-        profile=PROFILE, workers=1, checkpoint=checkpoint,
-        shard_executor="process")
-
-
-class TestShardWorkerKill:
-    """A SIGKILLed shard worker takes the retry/quarantine path.
-
-    The ShardCrash host clause makes the executor SIGKILL its own
-    shard-1 worker a few barrier rounds into the campaign; the
-    replication supervisor must treat the dead seed like any crashed
-    worker -- retry once, quarantine if the retry dies too -- and the
-    surviving seeds' results must be byte-identical to a run with no
-    chaos at all (host clauses are non-scientific by construction).
-    """
-
-    def test_killed_shard_retries_to_clean_result(self, tmp_path):
-        from repro.faults import FaultPlan, ShardCrash
-
-        clean = run_sharded_replications()
-        journal = tmp_path / "shardkill.jsonl"
-        plan = FaultPlan(shard_crash=ShardCrash(
-            seeds=(2,), attempts=1, shard=1, after_windows=3))
-        report = run_sharded_replications(plan, checkpoint=journal)
-        # attempt 0 died mid-window, the retry (attempt 1) completed
-        assert not report.degraded
-        assert report.completed_seeds == SHARD_SEEDS
-        for name, summary in clean.metrics.items():
-            assert report.metrics[name].values == summary.values, name
-        # per-shard fingerprints landed in the checkpoint journal
-        records = scan_frames(journal).records
-        by_seed = {r["seed"]: r for r in records if r.get("kind") == "seed"}
-        assert set(by_seed) == set(SHARD_SEEDS)
-        for seed in SHARD_SEEDS:
-            shards = by_seed[seed]["shards"]
-            assert [entry["shard"] for entry in shards] == [0, 1]
-
-    def test_killed_shard_quarantines_after_retry(self):
-        from repro.faults import FaultPlan, ShardCrash
-
-        clean = run_sharded_replications()
-        plan = FaultPlan(shard_crash=ShardCrash(
-            seeds=(2,), attempts=2, shard=1, after_windows=3))
-        report = run_sharded_replications(plan)
-        # both attempts died: seed 2 quarantined, the campaign degrades
-        assert report.degraded
-        assert report.completed_seeds == (1, 3)
-        assert [failure.seed for failure in report.failures] == [2]
-        assert "shard 1" in report.failures[0].error
-        # the surviving seeds' metrics are untouched by the chaos
-        for name, summary in clean.metrics.items():
-            survivors = (summary.values[0], summary.values[2])
-            assert report.metrics[name].values == survivors, name
