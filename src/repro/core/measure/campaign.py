@@ -133,15 +133,16 @@ class CampaignResult:
         return self.world.sim
 
 
-def _top_malware_probe(store: MeasurementStore, n: int = 3):
-    """Journal probe: the top-n malware names seen so far."""
+def _top_malware_probe(downloader: Downloader, n: int = 3):
+    """Journal probe: the top-n malware names seen so far.
+
+    Ranks the downloader's per-name tally, which counts every verdict
+    as it lands on its record, instead of walking the whole store at
+    every snapshot.
+    """
     def probe():
-        counts: dict = {}
-        for record in store:
-            if record.malware_name:
-                counts[record.malware_name] = (
-                    counts.get(record.malware_name, 0) + 1)
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        ranked = sorted(downloader.malware_counts.items(),
+                        key=lambda item: (-item[1], item[0]))
         return [{"name": name, "responses": count}
                 for name, count in ranked[:n]]
     return probe
@@ -160,7 +161,7 @@ def _install_journal(telemetry: CampaignTelemetry, sim: Simulator,
     journal.add_probe("downloads_in_flight", lambda: in_flight.value)
     journal.add_probe("download_successes", lambda: downloader.successes)
     journal.add_probe("scan_cache_hit_rate", lambda: engine.cache_hit_rate)
-    journal.add_probe("top_malware", _top_malware_probe(store))
+    journal.add_probe("top_malware", _top_malware_probe(downloader))
     journal.install(sim, until=until)
 
 

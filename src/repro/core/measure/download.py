@@ -18,7 +18,7 @@ back to the query that provoked it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ...files.payload import Blob
 from ...scanner.engine import ScanEngine
@@ -96,6 +96,8 @@ class Downloader:
         self.faults = faults
         self.attempts = 0
         self.successes = 0
+        #: responses per malware name so far (the journal ranks it)
+        self.malware_counts: Dict[str, int] = {}
         self.tracer = tracer
         self._in_flight_gauge = None
         self._attempt_counter = None
@@ -196,6 +198,9 @@ class Downloader:
         # byte-identical content is deduped by the engine's verdict cache
         verdict = self.engine.scan(blob)
         record.malware_name = verdict.primary_name
+        if verdict.primary_name:
+            self.malware_counts[verdict.primary_name] = (
+                self.malware_counts.get(verdict.primary_name, 0) + 1)
         if self.tracer is not None:
             self.tracer.end(scan_span, self.sim.now,
                             clean=verdict.clean,

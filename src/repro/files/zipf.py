@@ -4,10 +4,14 @@ Content popularity in file-sharing networks is classically Zipf-like (with
 the fetch-at-most-once flattening noted by Gummadi et al.); we use a plain
 truncated Zipf for the *sharing* distribution, which is what shapes how
 many replicas of each work exist and therefore how many responses a query
-gets.  numpy is used so populating thousands of libraries stays fast.
+gets.  numpy builds the cumulative distribution once per sampler; each
+draw is a ``bisect`` over it as a plain list, since a numpy call per
+single draw costs more than the search.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -27,23 +31,25 @@ class ZipfSampler:
         self.n = n
         self.alpha = alpha
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        #: the same float64 values as Python floats, so a bisect compares
+        #: exactly what ``np.searchsorted`` would
+        self._cdf = cdf.tolist()
 
     def probability(self, rank: int) -> float:
         """P(rank); ranks are 1-based."""
         if not 1 <= rank <= self.n:
             raise ValueError(f"rank {rank!r} out of range 1..{self.n}")
         previous = self._cdf[rank - 2] if rank > 1 else 0.0
-        return float(self._cdf[rank - 1] - previous)
+        return self._cdf[rank - 1] - previous
 
     def sample(self, stream: SeededStream, k: int) -> list:
         """Draw ``k`` 1-based ranks (with replacement)."""
         if k < 0:
             raise ValueError(f"negative sample count {k!r}")
-        draws = np.array([stream.random() for _ in range(k)])
-        ranks = np.searchsorted(self._cdf, draws, side="left") + 1
-        return [int(rank) for rank in ranks]
+        cdf = self._cdf
+        return [bisect_left(cdf, stream.random()) + 1 for _ in range(k)]
 
     def sample_one(self, stream: SeededStream) -> int:
         """Draw a single 1-based rank."""

@@ -351,7 +351,13 @@ _DECODERS = {
 
 
 def frame(guid: bytes, message, ttl: int, hops: int = 0) -> bytes:
-    """Wrap a message body in a descriptor header, producing wire bytes."""
+    """Wrap a message body in a descriptor header, producing wire bytes.
+
+    A TTL or hops outside one byte (0..255) raises :class:`MessageError`,
+    as it does in :func:`patch_ttl_hops`.
+    """
+    if not (0 <= ttl <= 0xFF and 0 <= hops <= 0xFF):
+        raise MessageError(f"ttl {ttl!r} or hops {hops!r} not in 0..255")
     payload = message.encode()
     header = Header(guid=guid, descriptor_type=message.descriptor_type,
                     ttl=ttl, hops=hops, payload_length=len(payload))
@@ -399,8 +405,11 @@ def patch_ttl_hops(raw, ttl: int, hops: int) -> bytes:
     built four transient objects and copied the body twice.  ``raw``
     may be ``bytes``, ``bytearray`` or a ``memoryview`` -- receive
     paths that hold views into a larger buffer can patch without
-    materializing the frame first.
+    materializing the frame first.  A TTL or hops outside one byte
+    raises :class:`MessageError`, as it does in :func:`frame`.
     """
+    if not (0 <= ttl <= 0xFF and 0 <= hops <= 0xFF):
+        raise MessageError(f"ttl {ttl!r} or hops {hops!r} not in 0..255")
     patched = bytearray(raw)
     patched[TTL_OFFSET] = ttl
     patched[HOPS_OFFSET] = hops

@@ -21,10 +21,49 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["Span", "SpanTracer"]
+from ..resilience import atomic_writer
+
+__all__ = ["Span", "SpanTracer", "json_value"]
+
+#: ``json.dumps``' default separators, which the span lines use
+_SEPARATORS = (", ", ": ")
+_INF = float("inf")
+
+
+def json_value(value: object,
+               separators: Tuple[str, str] = _SEPARATORS) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=...)``
+    writes it, byte for byte.
+
+    Exact ``float``, ``str``, ``int``, ``None`` and ``bool`` are spelled
+    directly, as the encoder spells them (``repr`` numbers, ``NaN`` /
+    ``Infinity``, ASCII-escaped strings); anything else, nested
+    containers included, goes through ``json.dumps`` itself.  The span
+    exporters render whole files from it, so no dict is built per span
+    or event.
+    """
+    kind = type(value)
+    if kind is float:
+        if -_INF < value < _INF:
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, sort_keys=True, separators=separators)
 
 
 @dataclass(slots=True)
@@ -59,18 +98,20 @@ class Span:
             return 0.0
         return self.end_wall - self.start_wall
 
-    def to_dict(self) -> dict:
-        """JSON-able representation (one journal/export line)."""
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "parent_id": self.parent_id,
-            "start_virtual": self.start_virtual,
-            "end_virtual": self.end_virtual,
-            "virtual_duration": self.virtual_duration,
-            "wall_duration": self.wall_duration,
-            "attributes": self.attributes,
-        }
+    def to_json(self) -> str:
+        """The span's export line (no newline): ``json.dumps`` of its
+        fields with ``sort_keys``, written field by field."""
+        attributes = ", ".join([
+            f"{encode_basestring_ascii(key)}: {json_value(value)}"
+            for key, value in sorted(self.attributes.items())])
+        return (f'{{"attributes": {{{attributes}}}, '
+                f'"end_virtual": {json_value(self.end_virtual)}, '
+                f'"name": {json_value(self.name)}, '
+                f'"parent_id": {json_value(self.parent_id)}, '
+                f'"span_id": {json_value(self.span_id)}, '
+                f'"start_virtual": {json_value(self.start_virtual)}, '
+                f'"virtual_duration": {json_value(self.virtual_duration)}, '
+                f'"wall_duration": {json_value(self.wall_duration)}}}')
 
 
 class SpanTracer:
@@ -171,10 +212,10 @@ class SpanTracer:
 
         Atomic (tmp + ``os.replace``): span exports happen once at the
         end of a run, so whole-file replacement is the right crash
-        discipline -- a reader never sees half an export.
+        discipline -- a reader never sees half an export.  The lines
+        stream to the temp file one by one.
         """
-        from ..resilience import atomic_write_text
-        text = "".join(json.dumps(span.to_dict(), sort_keys=True) + "\n"
-                       for span in self._spans)
-        atomic_write_text(Path(path), text)
+        with atomic_writer(Path(path)) as handle:
+            handle.writelines((span.to_json() + "\n").encode()
+                              for span in self._spans)
         return len(self._spans)

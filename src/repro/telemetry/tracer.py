@@ -25,10 +25,12 @@ malware attribute) is always exported, and clean chains are kept
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .spans import Span, SpanTracer
+from ..resilience import atomic_writer
+from .spans import Span, SpanTracer, json_value
 
 __all__ = ["CATEGORY_TIDS", "build_trace", "write_trace",
            "infected_roots", "chain_roots"]
@@ -39,6 +41,8 @@ CATEGORY_TIDS: Dict[str, int] = {
 
 #: One virtual second in trace-event time units (microseconds).
 _US = 1e6
+#: the trace file's separators
+_COMPACT = (",", ":")
 
 
 def chain_roots(tracer: SpanTracer) -> Dict[int, int]:
@@ -74,13 +78,13 @@ def infected_roots(tracer: SpanTracer,
             if _is_infected(span)}
 
 
-def _sampled_roots(tracer: SpanTracer, sample_every: int,
-                   roots: Dict[int, int]) -> Set[int]:
+def _sampled_roots(roots: Dict[int, int], sample_every: int,
+                   infected: Set[int]) -> Set[int]:
     """Roots to export: all infected chains + 1-in-N of the rest."""
     if sample_every < 1:
         raise ValueError(
             f"sample_every must be >= 1, got {sample_every!r}")
-    keep = infected_roots(tracer, roots)
+    keep = set(infected)
     phase = 1 % sample_every  # span ids start at 1
     for root in sorted(set(roots.values())):
         if root % sample_every == phase:
@@ -88,9 +92,82 @@ def _sampled_roots(tracer: SpanTracer, sample_every: int,
     return keep
 
 
-def _ts(virtual_seconds: float) -> float:
-    """Virtual seconds -> trace microseconds (plain scaling, no clock)."""
-    return virtual_seconds * _US
+def _render_trace(tracer: SpanTracer, sample_every: int, pid: int,
+                  process_name: str) -> Tuple[dict, Iterator[str]]:
+    """The trace's summary, and its JSON text as a stream of pieces.
+
+    The text is what ``json.dumps(trace, sort_keys=True,
+    separators=(",", ":"))`` writes for the trace object, built from the
+    span fields directly: key order is fixed per event kind, so no event
+    dict is ever made.  The summary (``otherData``) precedes the events
+    in key order, so the kept spans are picked in a first pass.
+    """
+    roots = chain_roots(tracer)
+    infected = infected_roots(tracer, roots)
+    keep = _sampled_roots(roots, sample_every, infected)
+    kept = [span for span in tracer.spans() if roots[span.span_id] in keep]
+    summary = {
+        "clock": "virtual (simulated seconds as microseconds)",
+        "spans_recorded": len(tracer),
+        "spans_exported": len(kept),
+        "spans_dropped_at_capacity": tracer.dropped,
+        "chains_total": len(set(roots.values())),
+        "chains_exported": len(keep),
+        "chains_infected": len(infected),
+        "sample_every": sample_every,
+    }
+    return summary, _trace_text(tracer, kept, summary, pid, process_name)
+
+
+def _trace_text(tracer: SpanTracer, kept: List[Span], summary: dict,
+                pid: int, process_name: str) -> Iterator[str]:
+    """Pieces of the trace text; see :func:`_render_trace`."""
+    pid_text = json_value(pid, _COMPACT)
+    tids = {kind: json_value(tid, _COMPACT)
+            for kind, tid in CATEGORY_TIDS.items()}
+    other = ",".join(f"{encode_basestring_ascii(key)}:"
+                     f"{json_value(summary[key], _COMPACT)}"
+                     for key in sorted(summary))
+    # metadata first: the process, then one named track per span kind
+    meta = [f'{{"args":{{"name":{json_value(process_name, _COMPACT)}}},'
+            f'"name":"process_name","ph":"M","pid":{pid_text},"tid":0}}']
+    for kind in sorted(CATEGORY_TIDS, key=CATEGORY_TIDS.get):
+        meta.append(f'{{"args":{{"name":{json_value(kind, _COMPACT)}}},'
+                    f'"name":"thread_name","ph":"M","pid":{pid_text},'
+                    f'"tid":{tids[kind]}}}')
+    yield (f'{{"displayTimeUnit":"ms","otherData":{{{other}}},'
+           f'"traceEvents":[{",".join(meta)}')
+    for span in kept:
+        name = json_value(span.name, _COMPACT)
+        tid = tids.get(span.name, "0")
+        start = span.start_virtual
+        end = span.end_virtual if span.end_virtual is not None else start
+        ts = json_value(start * _US, _COMPACT)
+        # zero-duration spans render invisibly; floor at 1 us
+        dur = json_value(max((end - start) * _US, 1.0), _COMPACT)
+        # an attribute named span_id or parent_id wins, as in dict.update
+        args = ",".join([
+            f"{encode_basestring_ascii(key)}:{json_value(value, _COMPACT)}"
+            for key, value in sorted({"span_id": span.span_id,
+                                      "parent_id": span.parent_id,
+                                      **span.attributes}.items())])
+        yield (f',{{"args":{{{args}}},"cat":{name},"dur":{dur},'
+               f'"name":{name},"ph":"X","pid":{pid_text},"tid":{tid},'
+               f'"ts":{ts}}}')
+        parent = (tracer.get(span.parent_id)
+                  if span.parent_id is not None else None)
+        if parent is not None:
+            # flow edge parent -> child, id = child span id (unique and
+            # deterministic); parents always start no later than their
+            # children in virtual time, so s precedes f
+            flow = (f'"cat":"causal","id":{json_value(span.span_id, _COMPACT)}'
+                    f',"name":"causal"')
+            yield (f',{{{flow},"ph":"s","pid":{pid_text},'
+                   f'"tid":{tids.get(parent.name, "0")},'
+                   f'"ts":{json_value(parent.start_virtual * _US, _COMPACT)}}}'
+                   f',{{"bp":"e",{flow},"ph":"f","pid":{pid_text},'
+                   f'"tid":{tid},"ts":{ts}}}')
+    yield "]}\n"
 
 
 def build_trace(tracer: SpanTracer, sample_every: int = 1,
@@ -100,77 +177,25 @@ def build_trace(tracer: SpanTracer, sample_every: int = 1,
     Returns the full top-level dict (``{"traceEvents": [...], ...}``);
     callers serialize it themselves or go through :func:`write_trace`.
     The event list is deterministic: metadata first, then spans in
-    start order, each followed by the flow edge from its parent.
+    start order, each followed by the flow edge from its parent.  It is
+    the parsed text :func:`write_trace` writes, so nested attribute
+    values come back as JSON gives them (tuples as lists).
     """
-    roots = chain_roots(tracer)
-    keep = _sampled_roots(tracer, sample_every, roots)
-    events: List[dict] = [
-        {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-         "args": {"name": process_name}},
-    ]
-    for kind in sorted(CATEGORY_TIDS, key=CATEGORY_TIDS.get):
-        events.append({"ph": "M", "pid": pid, "tid": CATEGORY_TIDS[kind],
-                       "name": "thread_name", "args": {"name": kind}})
-    exported = 0
-    for span in tracer.spans():
-        if roots[span.span_id] not in keep:
-            continue
-        exported += 1
-        tid = CATEGORY_TIDS.get(span.name, 0)
-        end = (span.end_virtual if span.end_virtual is not None
-               else span.start_virtual)
-        args = {"span_id": span.span_id, "parent_id": span.parent_id}
-        args.update(sorted(span.attributes.items()))
-        events.append({
-            "ph": "X", "pid": pid, "tid": tid,
-            "name": span.name, "cat": span.name,
-            "ts": _ts(span.start_virtual),
-            # zero-duration spans render invisibly; floor at 1 us
-            "dur": max(_ts(end - span.start_virtual), 1.0),
-            "args": args,
-        })
-        parent = (tracer.get(span.parent_id)
-                  if span.parent_id is not None else None)
-        if parent is not None:
-            # flow edge parent -> child, id = child span id (unique and
-            # deterministic); parents always start no later than their
-            # children in virtual time, so s precedes f
-            flow = {"cat": "causal", "name": "causal",
-                    "pid": pid, "id": span.span_id}
-            events.append({**flow, "ph": "s",
-                           "tid": CATEGORY_TIDS.get(parent.name, 0),
-                           "ts": _ts(parent.start_virtual)})
-            events.append({**flow, "ph": "f", "bp": "e", "tid": tid,
-                           "ts": _ts(span.start_virtual)})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "clock": "virtual (simulated seconds as microseconds)",
-            "spans_recorded": len(tracer),
-            "spans_exported": exported,
-            "spans_dropped_at_capacity": tracer.dropped,
-            "chains_total": len(set(roots.values())),
-            "chains_exported": len(keep),
-            "chains_infected": len(infected_roots(tracer, roots)),
-            "sample_every": sample_every,
-        },
-    }
+    _summary, text = _render_trace(tracer, sample_every, pid, process_name)
+    return json.loads("".join(text))
 
 
 def write_trace(tracer: SpanTracer, path: Path, sample_every: int = 1,
                 pid: int = 1, process_name: str = "campaign") -> dict:
-    """Serialize :func:`build_trace` to ``path``; returns the summary.
+    """Stream the trace's JSON text to ``path``; returns the summary.
 
-    ``sort_keys`` plus the deterministic event order make the file
-    byte-identical across runs of the same seed.
+    The file holds :func:`build_trace`'s object serialized with
+    ``sort_keys`` and compact separators; that plus the deterministic
+    event order make it byte-identical across runs of the same seed.
     """
-    trace = build_trace(tracer, sample_every=sample_every, pid=pid,
-                        process_name=process_name)
+    summary, text = _render_trace(tracer, sample_every, pid, process_name)
     # atomic: an interrupted export leaves the previous trace intact
     # instead of a torn JSON file no viewer can load
-    from ..resilience import atomic_write_text
-    atomic_write_text(Path(path),
-                      json.dumps(trace, sort_keys=True, indent=None,
-                                 separators=(",", ":")) + "\n")
-    return trace["otherData"]
+    with atomic_writer(Path(path)) as handle:
+        handle.writelines(piece.encode() for piece in text)
+    return summary

@@ -1,9 +1,30 @@
 """Tests for the Zipf sampler."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.files.zipf import ZipfSampler
 from repro.simnet.rng import SeededStream
+
+
+class _ScriptedStream:
+    """Hands out fixed ``random()`` values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _numpy_cdf(n, alpha):
+    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1]
 
 
 class TestZipfSampler:
@@ -58,3 +79,19 @@ class TestZipfSampler:
             sampler.probability(11)
         with pytest.raises(ValueError):
             sampler.sample(SeededStream(1, "z"), -1)
+
+    @given(n=st.integers(1, 60), alpha=st.floats(0.0, 3.0), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_equal_numpy_searchsorted(self, n, alpha, data):
+        # the reference is the numpy search the sampler used to run; the
+        # draws include exact CDF entries, 0.0 and the largest float < 1
+        cdf = _numpy_cdf(n, alpha)
+        draws = data.draw(st.lists(
+            st.sampled_from(cdf.tolist())
+            | st.sampled_from([0.0, math.nextafter(1.0, 0.0)])
+            | st.floats(0.0, 1.0, exclude_max=True),
+            min_size=1, max_size=20))
+        sampler = ZipfSampler(n, alpha)
+        ranks = sampler.sample(_ScriptedStream(draws), len(draws))
+        expected = np.searchsorted(cdf, np.array(draws), side="left") + 1
+        assert ranks == [int(rank) for rank in expected]

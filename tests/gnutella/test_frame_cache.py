@@ -54,11 +54,16 @@ class TestPatchTtlHops:
         assert isinstance(patch_ttl_hops(view, 4, 3), bytes)
 
     def test_out_of_range_values_rejected(self):
+        # both twins refuse a TTL or hops outside one byte the same way
         raw = frame(GUID_A, _query(), ttl=5, hops=2)
-        with pytest.raises(ValueError):
-            patch_ttl_hops(raw, 256, 0)
-        with pytest.raises(ValueError):
-            patch_ttl_hops(raw, 0, -1)
+        for bad in (256, -1):
+            for ttl, hops in ((bad, 0), (0, bad)):
+                with pytest.raises(MessageError):
+                    patch_ttl_hops(raw, ttl, hops)
+                with pytest.raises(MessageError):
+                    frame(GUID_A, _query(), ttl=ttl, hops=hops)
+        assert patch_ttl_hops(raw, 255, 0) == frame(GUID_A, _query(),
+                                                    ttl=255, hops=0)
 
 
 class TestParseHeader:

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.core.experiments import run_replications
+from repro.core.measure import campaign
 from repro.core.measure.campaign import (CampaignConfig,
                                          run_limewire_campaign)
 from repro.peers.profiles import GnutellaProfile
@@ -86,6 +87,42 @@ class TestJournal:
         assert isinstance(last["top_malware"], list)
         assert last["top_malware"][0]["responses"] >= \
             last["top_malware"][-1]["responses"]
+
+
+class TestTopMalwareTally:
+    def test_equals_a_store_walk_at_every_snapshot(self, tmp_path,
+                                                   monkeypatch):
+        # beside the tally probe, a second probe walks the whole store
+        # the way the journal used to; both read the same instant
+        def walk(store):
+            counts = {}
+            for record in store:
+                if record.malware_name:
+                    counts[record.malware_name] = (
+                        counts.get(record.malware_name, 0) + 1)
+            ranked = sorted(counts.items(),
+                            key=lambda item: (-item[1], item[0]))
+            return [{"name": name, "responses": count}
+                    for name, count in ranked[:3]]
+
+        install = campaign._install_journal
+
+        def install_with_walk(telemetry, sim, store, *args, **kwargs):
+            telemetry.journal.add_probe("walked", lambda: walk(store))
+            install(telemetry, sim, store, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_install_journal", install_with_walk)
+        telemetry = CampaignTelemetry.for_directory(
+            tmp_path, "limewire", journal_interval_s=600.0)
+        run_limewire_campaign(
+            CONFIG, profile=GnutellaProfile().scaled(PROFILE_SCALE),
+            telemetry=telemetry)
+        rows = [json.loads(line)
+                for line in telemetry.journal.path.read_text().splitlines()]
+        assert len(rows) >= 3
+        assert rows[-1]["top_malware"], "campaign saw no malware"
+        for row in rows:
+            assert row["top_malware"] == row["walked"]
 
 
 class TestSpans:
