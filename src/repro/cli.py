@@ -3,31 +3,31 @@
 The subcommands mirror the study's workflow::
 
     repro-study run       --network both --days 1 --seed 2 --out data/
+    repro-study run       --network limewire --telemetry-dir tel/ \
+                          --serve-port 8000
     repro-study replicate --network limewire --seeds 8 --workers 4
     repro-study chaos     --quick
     repro-study analyze   data/limewire.jsonl --table all
     repro-study filter-eval data/limewire.jsonl
-    repro-study telemetry --network limewire --days 1 --out telemetry/
-    repro-study serve     --network limewire --days 1 --port 8000
-    repro-study hotspots  --network limewire --days 0.1
     repro-study lint      --strict
     repro-study selfcheck --seeds 2
     repro-study doctor    checkpoints/ --repair
 
 ``run`` simulates the campaigns and writes raw measurement stores as
-JSON-lines; ``replicate`` runs the same campaign under several seeds
-(fanned out over worker processes) and prints the headline-metric
-ranges; ``serve`` runs an instrumented campaign with the live
-observability plane attached (HTML dashboard, ``/metrics``, journal
-tail, trace and hotspot endpoints -- also available on ``replicate``
-and ``telemetry`` via ``--serve-port``); ``hotspots`` prints where the
-kernel's wall time went, from the always-on sampled callback
-histograms; ``analyze`` recomputes any table/figure from a saved store
-(no re-simulation); ``filter-eval`` compares the existing-Limewire
-baseline against the size-based filter on a saved store; ``telemetry``
-runs a fully instrumented campaign and dumps its Prometheus metrics,
-span chains and JSONL run journal (``tail -f`` the journal while it
-runs).
+JSON-lines.  Its observers are flags: ``--telemetry-dir`` also writes
+each campaign's Prometheus metrics, span chains, trace and JSONL run
+journal (``tail -f`` the journal while it runs) and prints where the
+kernel's wall time went, from the sampled callback histograms;
+``--serve-port`` adds the live observability plane (HTML dashboard,
+``/metrics``, journal tail, trace and hotspot endpoints).
+``replicate`` runs the same campaign under several seeds (fanned out
+over worker processes) and prints the headline-metric ranges;
+``analyze`` recomputes any table/figure from a saved store (no
+re-simulation); ``filter-eval`` compares the existing-Limewire
+baseline against the size-based filter on a saved store.  To profile
+a campaign, run the stdlib profiler over ``run``::
+
+    python -m cProfile -s cumulative -m repro.cli run --network limewire
 
 The last three are the correctness tooling: ``lint`` runs detlint (the
 determinism & layering static-analysis pass) over ``src/``,
@@ -63,7 +63,7 @@ _TABLES = ("t1", "t2", "t3", "t4", "t5", "t6",
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for campaign lengths and scales: finite and > 0."""
+    """argparse type for lengths, scales, intervals, timeouts: finite, > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -91,6 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="virtual days to measure (paper: 35)")
     run.add_argument("--seed", type=int, default=2)
     run.add_argument("--out", type=Path, default=Path("study_output"))
+    run.add_argument("--scale", type=_positive_float, default=1.0,
+                     help="population scale factor")
+    run.add_argument("--telemetry-dir", type=Path, default=None,
+                     help="instrument every campaign, write its journal, "
+                          "spans, trace and metrics here and print its "
+                          "kernel hotspots")
+    run.add_argument("--serve-port", type=int, default=None,
+                     help="serve the campaigns live over HTTP while they "
+                          "run (0 = ephemeral port; requires "
+                          "--telemetry-dir)")
+    run.add_argument("--host", default="127.0.0.1",
+                     help="bind address for --serve-port")
 
     analyze = subparsers.add_parser(
         "analyze", help="recompute tables/figures from a saved store")
@@ -129,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSONL journal of completed seeds; an "
                                 "interrupted campaign rerun with the same "
                                 "path resumes instead of recomputing")
-    replicate.add_argument("--journal-interval", type=float, default=None,
+    replicate.add_argument("--journal-interval", type=_positive_float,
+                           default=None,
                            help="virtual seconds between journal snapshots "
                                 "(default: horizon/100 clamped to "
                                 "[1s, 3600s]; pass 3600 for the fixed "
@@ -143,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "hung or stalled workers are killed, "
                                 "requeued with backoff, and quarantined "
                                 "instead of blocking the campaign")
-    replicate.add_argument("--deadline", type=float, default=300.0,
-                           metavar="SECONDS",
+    replicate.add_argument("--deadline", type=_positive_float,
+                           default=300.0, metavar="SECONDS",
                            help="wall-clock budget per supervised attempt "
                                 "(default: 300)")
-    replicate.add_argument("--stall-timeout", type=float, default=60.0,
-                           metavar="SECONDS",
+    replicate.add_argument("--stall-timeout", type=_positive_float,
+                           default=60.0, metavar="SECONDS",
                            help="max heartbeat silence before a supervised "
                                 "worker is declared wedged (default: 60)")
     replicate.add_argument("--hang-seeds", type=int, nargs="*", default=None,
@@ -197,98 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI smoke preset: one seed, 0.1 days, scale "
                             "0.35, severities off+moderate")
 
-    telemetry = subparsers.add_parser(
-        "telemetry",
-        help="run an instrumented campaign and dump metrics, spans and "
-             "the run journal")
-    telemetry.add_argument("--network",
-                           choices=("limewire", "openft", "both"),
-                           default="limewire")
-    telemetry.add_argument("--days", type=_positive_float, default=1.0,
-                           help="virtual days to measure")
-    telemetry.add_argument("--seed", type=int, default=2)
-    telemetry.add_argument("--out", type=Path,
-                           default=Path("telemetry_output"),
-                           help="directory for <network>_metrics.prom, "
-                                "<network>_spans.jsonl and "
-                                "<network>_journal.jsonl")
-    telemetry.add_argument("--journal-interval", type=float, default=None,
-                           help="virtual seconds between journal snapshots "
-                                "(default: horizon/100 clamped to "
-                                "[1s, 3600s]; pass 3600 for the fixed "
-                                "hourly cadence of earlier runs)")
-    telemetry.add_argument("--sample-every", type=int, default=64,
-                           help="sample one in N event callbacks for "
-                                "wall-time histograms")
-    telemetry.add_argument("--serve-port", type=int, default=None,
-                           help="also expose the campaign(s) live over "
-                                "HTTP while they run (0 = ephemeral port)")
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run an instrumented campaign with the live observability "
-             "plane: HTML dashboard, /metrics, journal tail, trace and "
-             "hotspot endpoints")
-    serve.add_argument("--network", choices=("limewire", "openft"),
-                       default="limewire")
-    serve.add_argument("--days", type=_positive_float, default=1.0,
-                       help="virtual days to measure")
-    serve.add_argument("--seed", type=int, default=2)
-    serve.add_argument("--scale", type=_positive_float, default=1.0,
-                       help="population scale factor")
-    serve.add_argument("--port", type=int, default=8000,
-                       help="HTTP port (0 = ephemeral)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--out", type=Path, default=Path("serve_output"),
-                       help="directory for the journal and final outputs")
-    serve.add_argument("--journal-interval", type=float, default=None,
-                       help="virtual seconds between journal snapshots "
-                            "(default: horizon/100 clamped to [1s, 3600s])")
-    serve.add_argument("--sample-every", type=int, default=64,
-                       help="sample one in N event callbacks for "
-                            "wall-time histograms")
-    serve.add_argument("--linger", type=float, default=0.0,
-                       help="keep serving this many wall seconds after "
-                            "the campaign finishes (browse the final "
-                            "state; ctrl-C to stop early)")
-    serve.add_argument("--verify", action="store_true",
-                       help="prove the server is off the hot path: scrape "
-                            "/healthz and /metrics from a background "
-                            "thread mid-run, then re-run server-off and "
-                            "assert the event digest and store sha256 "
-                            "are identical")
-
-    hotspots = subparsers.add_parser(
-        "hotspots",
-        help="per-label kernel hotspot report from the sampled callback "
-             "wall-time histograms (run a campaign, or read a saved "
-             "registry snapshot)")
-    hotspots.add_argument("--network", choices=("limewire", "openft"),
-                          default="limewire")
-    hotspots.add_argument("--days", type=_positive_float, default=0.1,
-                          help="virtual days to simulate")
-    hotspots.add_argument("--seed", type=int, default=2)
-    hotspots.add_argument("--scale", type=_positive_float, default=0.35,
-                          help="population scale factor")
-    hotspots.add_argument("--sample-every", type=int, default=64,
-                          help="sample one in N event callbacks")
-    hotspots.add_argument("--top", type=int, default=15,
-                          help="hotspot rows to print")
-    hotspots.add_argument("--json", type=Path, default=None,
-                          help="also write the machine-readable report "
-                               "here")
-    hotspots.add_argument("--snapshot", type=Path, default=None,
-                          help="build the report from a saved registry "
-                               "snapshot JSON (e.g. a served "
-                               "/snapshot.json body) instead of running "
-                               "a campaign")
-
     lint = subparsers.add_parser(
         "lint",
         help="run detlint: determinism rules (DET001-DET008), the "
-             "layer-DAG check (LAY001/LAY002), the twin-drift check "
-             "(TWN001) and the concurrency lint (CONC001-CONC003) "
-             "over src/")
+             "layer-DAG check (LAY001/LAY002) and the concurrency lint "
+             "(CONC001-CONC003) over src/")
     lint.add_argument("paths", type=Path, nargs="*",
                       help="files/directories to lint (default: the "
                            "configured package under src/)")
@@ -302,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "2.1.0 log to PATH")
     lint.add_argument("--changed-only", action="store_true",
                       help="lint only files changed vs HEAD (plus "
-                           "untracked); cross-file twin checks and "
-                           "unused-baseline strictness are skipped on "
-                           "the subset walk")
+                           "untracked); unused-baseline strictness is "
+                           "skipped on the subset walk")
     lint.add_argument("--no-cache", action="store_true",
                       help="bypass the .detlint-cache/ result cache "
                            "(the cache never changes output, only "
@@ -336,22 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "tiny campaign and fail on lock-order "
                                 "cycles")
 
-    profile = subparsers.add_parser(
-        "profile",
-        help="run one campaign under cProfile and print the top "
-             "cumulative hotspots")
-    profile.add_argument("network", choices=("limewire", "openft"))
-    profile.add_argument("--days", type=_positive_float, default=0.1,
-                         help="virtual days to simulate")
-    profile.add_argument("--seed", type=int, default=2)
-    profile.add_argument("--scale", type=_positive_float, default=0.35,
-                         help="population scale factor")
-    profile.add_argument("--top", type=int, default=25,
-                         help="hotspot rows to print")
-    profile.add_argument("--out", type=Path, default=None,
-                         help="also dump the raw pstats data here "
-                              "(loadable with pstats.Stats)")
-
     filter_eval = subparsers.add_parser(
         "filter-eval",
         help="compare existing vs size-based filtering on a saved store")
@@ -376,14 +285,45 @@ def _networks(choice: str) -> List[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = CampaignConfig(seed=args.seed, duration_days=args.days)
+    names = _networks(args.network)
+    bundles = {}
+    if args.telemetry_dir is not None:
+        from .telemetry import CampaignTelemetry
+        bundles = {name: CampaignTelemetry.for_directory(args.telemetry_dir,
+                                                         name)
+                   for name in names}
+    server = None
+    if args.serve_port is not None:
+        from .telemetry.httpd import ObservatoryHub, TelemetryServer
+        hub = ObservatoryHub(title=f"run ({args.network})")
+        hub.set_status(seed=args.seed, days=args.days, scale=args.scale)
+        for name, telemetry in bundles.items():
+            hub.add_campaign(name, telemetry)
+        server = TelemetryServer(hub, host=args.host,
+                                 port=args.serve_port).start()
+        print(f"observability endpoint: {server.url}")
     args.out.mkdir(parents=True, exist_ok=True)
-    for name in _networks(args.network):
-        print(f"running {name} campaign "
-              f"({args.days:g} virtual days, seed {args.seed})...")
-        result = campaign_runner(name)(config)
-        path = args.out / f"{name}.jsonl"
-        count = result.store.save(path)
-        print(f"  {count} responses -> {path}")
+    try:
+        for name in names:
+            print(f"running {name} campaign "
+                  f"({args.days:g} virtual days, seed {args.seed})...")
+            telemetry = bundles.get(name)
+            result = campaign_runner(name)(
+                config, profile=default_profile(name, args.scale),
+                telemetry=telemetry)
+            path = args.out / f"{name}.jsonl"
+            count = result.store.save(path)
+            print(f"  {count} responses -> {path}")
+            if telemetry is not None:
+                from .telemetry.profiler import HotspotReport
+                written = telemetry.write_outputs(args.telemetry_dir, name)
+                for kind, written_path in sorted(written.items()):
+                    print(f"  {kind}: {written_path}")
+                report = HotspotReport.from_registry(telemetry.registry)
+                print(report.render())
+    finally:
+        if server is not None:
+            server.stop()
     return 0
 
 
@@ -393,10 +333,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.serve_port is not None and args.telemetry_dir is None:
-        print("error: --serve-port requires --telemetry-dir",
-              file=sys.stderr)
         return 2
     if args.hang_seeds and not args.supervise:
         print("error: --hang-seeds requires --supervise (an unsupervised "
@@ -472,173 +408,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                 sanitize=args.sanitize)
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from .telemetry import CampaignTelemetry
-
-    config = CampaignConfig(seed=args.seed, duration_days=args.days)
-    bundles = {
-        name: CampaignTelemetry.for_directory(
-            args.out, name, journal_interval_s=args.journal_interval,
-            sample_every=args.sample_every)
-        for name in _networks(args.network)}
-    server = None
-    if args.serve_port is not None:
-        from .telemetry.httpd import ObservatoryHub, TelemetryServer
-        hub = ObservatoryHub(title=f"telemetry ({args.network})")
-        hub.set_status(seed=args.seed, days=args.days)
-        for name, telemetry in bundles.items():
-            hub.add_campaign(name, telemetry)
-        server = TelemetryServer(hub, port=args.serve_port).start()
-        print(f"observability endpoint: {server.url}")
-    try:
-        for name, telemetry in bundles.items():
-            print(f"running instrumented {name} campaign "
-                  f"({args.days:g} virtual days, seed {args.seed})...")
-            print(f"  journal: tail -f {telemetry.journal.path}")
-            result = campaign_runner(name)(config, telemetry=telemetry)
-            written = telemetry.write_outputs(args.out, name)
-            registry, tracer = telemetry.registry, telemetry.tracer
-            events = registry.get("sim_events_total")
-            print(f"  {len(result.store)} responses, "
-                  f"{int(events.value) if events else 0} kernel events, "
-                  f"{result.engine.cache_hit_rate:.1%} scan cache hit rate")
-            print(f"  {len(registry.metric_names())} metrics, "
-                  f"{len(tracer)} spans "
-                  f"({len(tracer.spans('query'))} query chains)")
-            for kind, path in sorted(written.items()):
-                print(f"  {kind}: {path}")
-    finally:
-        if server is not None:
-            server.stop()
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
-    import urllib.request
-
-    from .telemetry import CampaignTelemetry
-    from .telemetry.httpd import ObservatoryHub, TelemetryServer
-
-    runner = campaign_runner(args.network)
-    population = default_profile(args.network, args.scale)
-    config = CampaignConfig(seed=args.seed, duration_days=args.days)
-    telemetry = CampaignTelemetry.for_directory(
-        args.out, args.network, journal_interval_s=args.journal_interval,
-        sample_every=args.sample_every)
-    digest = None
-    if args.verify:
-        # deferred on purpose: devtools sits above core in the layer
-        # DAG and only opt-in verification reaches up into it
-        from .devtools.selfcheck import EventDigest
-        digest = EventDigest()
-        telemetry.kernel.on_event = digest.on_event
-
-    hub = ObservatoryHub(title=f"{args.network} campaign")
-    hub.set_status(network=args.network, seed=args.seed, days=args.days,
-                   scale=args.scale)
-    hub.add_campaign(args.network, telemetry)
-    server = TelemetryServer(hub, host=args.host, port=args.port).start()
-    print(f"serving {server.url} (dashboard; /metrics, /healthz, "
-          f"/snapshot.json, /journal, /trace.json, /hotspots.json)")
-
-    scraped = {"healthz": 0, "metrics": 0}
-    stop_scraping = threading.Event()
-
-    def scrape_loop() -> None:
-        # the --verify scraper: hammer the endpoints while the campaign
-        # runs so the digest comparison below covers concurrent reads
-        while not stop_scraping.is_set():
-            for route in ("healthz", "metrics"):
-                try:
-                    with urllib.request.urlopen(server.url + route,
-                                                timeout=5) as response:
-                        if response.status == 200:
-                            scraped[route] += 1
-                except OSError:
-                    pass
-            stop_scraping.wait(0.2)
-
-    scraper = None
-    if args.verify:
-        scraper = threading.Thread(target=scrape_loop, daemon=True)
-        scraper.start()
-    try:
-        print(f"running {args.network} campaign ({args.days:g} virtual "
-              f"days, seed {args.seed}, scale {args.scale:g})...")
-        result = runner(config, profile=population, telemetry=telemetry)
-        written = telemetry.write_outputs(args.out, args.network)
-        print(f"  {len(result.store)} responses collected")
-        for kind, path in sorted(written.items()):
-            print(f"  {kind}: {path}")
-        if args.linger > 0:
-            print(f"serving final state for {args.linger:g}s more "
-                  f"at {server.url} ...")
-            try:
-                threading.Event().wait(args.linger)
-            except KeyboardInterrupt:
-                pass
-    finally:
-        stop_scraping.set()
-        if scraper is not None:
-            scraper.join(timeout=5)
-        server.stop()
-
-    if not args.verify:
-        return 0
-    print(f"verify: scraped /healthz x{scraped['healthz']}, "
-          f"/metrics x{scraped['metrics']} during the run")
-    if not scraped["healthz"] or not scraped["metrics"]:
-        print("error: verify run finished before both endpoints were "
-              "scraped; use a longer --days", file=sys.stderr)
-        return 1
-    from .devtools.selfcheck import EventDigest
-    baseline_digest = EventDigest()
-    baseline_telemetry = CampaignTelemetry.for_directory(
-        args.out, f"{args.network}_serveroff",
-        journal_interval_s=args.journal_interval,
-        sample_every=args.sample_every)
-    baseline_telemetry.kernel.on_event = baseline_digest.on_event
-    print("verify: re-running the same campaign with the server off...")
-    baseline = runner(config, profile=population,
-                      telemetry=baseline_telemetry)
-    digest_ok = digest.hexdigest() == baseline_digest.hexdigest()
-    store_ok = (result.store.content_digest()
-                == baseline.store.content_digest())
-    print(f"  event digest: {'identical' if digest_ok else 'DIVERGED'}")
-    print(f"  store sha256: {'identical' if store_ok else 'DIVERGED'}")
-    return 0 if digest_ok and store_ok else 1
-
-
-def _cmd_hotspots(args: argparse.Namespace) -> int:
-    from .telemetry.profiler import HotspotReport
-
-    if args.snapshot is not None:
-        import json as _json
-        if not args.snapshot.exists():
-            print(f"error: snapshot {args.snapshot} does not exist",
-                  file=sys.stderr)
-            return 2
-        report = HotspotReport.from_snapshot(
-            _json.loads(args.snapshot.read_text(encoding="utf-8")))
-    else:
-        from .telemetry import CampaignTelemetry
-        runner = campaign_runner(args.network)
-        population = default_profile(args.network, args.scale)
-        config = CampaignConfig(seed=args.seed, duration_days=args.days)
-        telemetry = CampaignTelemetry(sample_every=args.sample_every)
-        print(f"profiling {args.network} campaign ({args.days:g} virtual "
-              f"days, seed {args.seed}, scale {args.scale:g}, 1-in-"
-              f"{args.sample_every} callback sampling)...")
-        runner(config, profile=population, telemetry=telemetry)
-        report = HotspotReport.from_registry(telemetry.registry)
-    print(report.render(top=args.top))
-    if args.json is not None:
-        report.to_json(args.json)
-        print(f"\nmachine-readable report -> {args.json}")
-    return 0
 
 
 def _find_repo_root(start: Optional[Path] = None) -> Path:
@@ -750,40 +519,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    runner = campaign_runner(args.network)
-    population = default_profile(args.network, args.scale)
-    config = CampaignConfig(seed=args.seed, duration_days=args.days)
-    print(f"profiling {args.network} campaign ({args.days:g} virtual "
-          f"days, seed {args.seed}, scale {args.scale:g})...")
-    profiler = cProfile.Profile()
-    result = profiler.runcall(runner, config, profile=population)
-    print(f"  {len(result.store)} responses collected\n")
-    stats = pstats.Stats(profiler)
-    rows = []
-    for func, (_cc, ncalls, tottime, cumtime, _callers) in \
-            stats.stats.items():  # type: ignore[attr-defined]
-        rows.append((cumtime, tottime, ncalls,
-                     pstats.func_std_string(func)))
-    # primary key: cumulative time, descending.  Ties (and there are
-    # many at 0.000) break on the qualified function name so the
-    # listing is stable run to run.
-    rows.sort(key=lambda row: (-row[0], row[3]))
-    total = sum(row[1] for row in rows)
-    print(f"{'cumtime':>10} {'tottime':>10} {'ncalls':>10}  function "
-          f"(total {total:.3f}s, top {args.top} by cumulative time)")
-    for cumtime, tottime, ncalls, name in rows[:args.top]:
-        print(f"{cumtime:>10.4f} {tottime:>10.4f} {ncalls:>10d}  {name}")
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        stats.dump_stats(str(args.out))
-        print(f"\nraw pstats dump -> {args.out}")
-    return 0
-
-
 def _render(store: MeasurementStore, table: str, days: float) -> str:
     if table == "t1":
         return reports.render_t1_summary([store], days)
@@ -886,11 +621,15 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    # run and replicate serve what their telemetry bundles record
+    if (getattr(args, "serve_port", None) is not None
+            and args.telemetry_dir is None):
+        print("error: --serve-port requires --telemetry-dir",
+              file=sys.stderr)
+        return 2
     handlers = {"run": _cmd_run, "analyze": _cmd_analyze,
                 "replicate": _cmd_replicate, "chaos": _cmd_chaos,
                 "filter-eval": _cmd_filter_eval, "export": _cmd_export,
-                "telemetry": _cmd_telemetry, "profile": _cmd_profile,
-                "serve": _cmd_serve, "hotspots": _cmd_hotspots,
                 "lint": _cmd_lint, "selfcheck": _cmd_selfcheck,
                 "doctor": _cmd_doctor}
     return handlers[args.command](args)

@@ -8,8 +8,6 @@ invariant -- same seed, same bits.  Four pass families:
   and iteration-order taint tracked through assignments until it
   reaches a scheduling/seed/message sink;
 * :mod:`.layering` -- the import-DAG check (LAY001/LAY002);
-* :mod:`.twins` -- the twin-drift check (TWN001) over
-  pairs declared in ``[tool.detlint.twins]``;
 * :mod:`.concurrency` -- shared-state lint (CONC001-003) for the
   telemetry threads that run alongside the simulation.
 
@@ -27,7 +25,6 @@ from .findings import Finding, Module, Rule, parse_module
 from .layering import ImportEdge, check_edges, check_layers, extract_edges
 from .rules import DEFAULT_RULES, all_rules
 from .sarif import render_sarif, to_sarif
-from .twins import TwinMember, TwinPair, check_twins, parse_twins
 
 __all__ = [
     "BASELINE_ALLOWED_CODES", "BaselineError", "LintConfig", "LintResult",
@@ -37,7 +34,6 @@ __all__ = [
     "ImportEdge", "check_edges", "check_layers", "extract_edges",
     "DEFAULT_RULES", "all_rules",
     "check_dataflow", "check_concurrency",
-    "TwinMember", "TwinPair", "check_twins", "parse_twins",
     "CACHE_DIR_NAME", "LintCache", "config_digest",
     "render_sarif", "to_sarif",
 ]

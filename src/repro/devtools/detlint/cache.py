@@ -16,10 +16,6 @@ memoize perfectly:
   written atomically (tmp + rename) so parallel runs can share a
   cache directory.
 
-Cross-file passes that depend on *other* files' contents (the twin
-registry) are never cached -- they re-run every time over the handful
-of member modules.
-
 The cache is an optimisation only: ``lint_repo(use_cache=True)`` must
 produce byte-identical output to a cold run (asserted in tests), and
 a corrupt or unreadable entry silently degrades to a re-lint.

@@ -1,27 +1,25 @@
 """The detlint engine: configuration, file walk, baseline, verdict.
 
 Configuration lives in ``pyproject.toml`` under ``[tool.detlint]`` so
-the declared layer DAG and the twin registry are versioned next to the
-package metadata they describe.  The engine is itself held to the
-determinism bar it enforces: the file walk is sorted, rule order is
-fixed, and findings are sorted by ``(path, line, col, code)`` -- two
-runs over the same tree always print byte-identical reports, cached or
-cold.
+the declared layer DAG is versioned next to the package metadata it
+describes.  The engine is itself held to the determinism bar it
+enforces: the file walk is sorted, rule order is fixed, and findings
+are sorted by ``(path, line, col, code)`` -- two runs over the same
+tree always print byte-identical reports, cached or cold.
 
 Four pass families run per lint:
 
 1. the syntactic rules (DET001-DET006, ``rules.py``);
 2. the dataflow taint pass (DET007/DET008, ``dataflow.py``);
 3. the concurrency pass (CONC001-CONC003, ``concurrency.py``);
-4. cross-file checks: the layer DAG (LAY001/LAY002, ``layering.py``)
-   and the twin registry (TWN001, ``twins.py``).
+4. the cross-file layer-DAG check (LAY001/LAY002, ``layering.py``).
 
 The first three are per-module and memoize through the content-
-addressed cache (``cache.py``); the cross-file checks re-run every
-time over cached edges / freshly parsed twin members.
+addressed cache (``cache.py``); the layer-DAG check re-runs every
+time over the cached import edges.
 
 The baseline file is the *only* sanctioned suppression mechanism.  It
-started as a DET002-only wall-clock whitelist; the dataflow, twin and
+started as a DET002-only wall-clock whitelist; the dataflow and
 concurrency codes may now be grandfathered too -- but every entry must
 carry an annotation (a ``#`` comment) explaining why the finding
 cannot perturb simulation state, and the hard-error codes (DET001,
@@ -31,7 +29,6 @@ good reason for bare randomness or a layering violation.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -42,7 +39,6 @@ from .dataflow import check_dataflow
 from .findings import Finding, Module, parse_module
 from .layering import ImportEdge, check_edges, extract_edges
 from .rules import all_rules
-from .twins import TwinPair, check_twins, parse_twins
 
 try:  # python >= 3.11
     import tomllib
@@ -57,7 +53,7 @@ __all__ = ["LintConfig", "LintResult", "load_config", "collect_modules",
 #: passes added in v2 may be baselined while their findings are burned
 #: down.  DET001/004/005/006 and the layering codes are hard errors.
 BASELINE_ALLOWED_CODES = ("DET002", "DET003", "DET007", "DET008",
-                          "TWN001", "CONC001", "CONC002", "CONC003")
+                          "CONC001", "CONC002", "CONC003")
 
 
 class BaselineError(ValueError):
@@ -76,7 +72,6 @@ class LintConfig:
     rng_modules: Tuple[str, ...] = ()
     layers: Dict[str, Sequence[str]] = field(default_factory=dict)
     deferred_imports: Set[Tuple[str, str]] = field(default_factory=set)
-    twins: List[TwinPair] = field(default_factory=list)
 
     @property
     def src_dir(self) -> Path:
@@ -116,7 +111,6 @@ def load_config(root: Path) -> LintConfig:
         rng_modules=tuple(table.get("rng_modules", ())),
         layers=dict(table.get("layers", {})),
         deferred_imports=_parse_deferred(table.get("deferred_imports", ())),
-        twins=parse_twins(table.get("twins", {})),
     )
 
 
@@ -250,16 +244,11 @@ def module_passes(module: Module, config: LintConfig) -> List[Finding]:
     return sorted(findings)
 
 
-def _cross_passes(config: LintConfig, edges: Sequence[ImportEdge],
-                  twin_modules: Sequence[Module],
-                  run_twins: bool = True) -> List[Finding]:
-    findings: List[Finding] = []
-    if config.layers:
-        findings.extend(check_edges(edges, config.layers,
-                                    config.deferred_imports))
-    if config.twins and run_twins:
-        findings.extend(check_twins(twin_modules, config.twins))
-    return findings
+def _layer_pass(config: LintConfig,
+                edges: Sequence[ImportEdge]) -> List[Finding]:
+    if not config.layers:
+        return []
+    return check_edges(edges, config.layers, config.deferred_imports)
 
 
 def lint_modules(modules: Sequence[Module],
@@ -268,8 +257,8 @@ def lint_modules(modules: Sequence[Module],
     findings: List[Finding] = []
     for module in modules:
         findings.extend(module_passes(module, config))
-    findings.extend(_cross_passes(
-        config, extract_edges(modules, package=config.package), modules))
+    findings.extend(_layer_pass(
+        config, extract_edges(modules, package=config.package)))
     return sorted(findings)
 
 
@@ -292,11 +281,7 @@ def lint_repo(root: Path, paths: Optional[Sequence[Path]] = None,
         else None
     findings: List[Finding] = []
     edges: List[ImportEdge] = []
-    twin_dotted = {member.module for pair in config.twins
-                   for member in pair.members}
-    twin_modules: List[Module] = []
     for path, relpath, dotted in files:
-        module: Optional[Module] = None
         entry = None
         if cache is not None:
             data = path.read_bytes()
@@ -317,15 +302,7 @@ def lint_repo(root: Path, paths: Optional[Sequence[Path]] = None,
             edges.extend(module_edges)
             if cache is not None:
                 cache.put(key, module_findings, module_edges)
-        if dotted in twin_dotted:
-            if module is None:
-                module = parse_module(path, relpath, dotted)
-            twin_modules.append(module)
-    # a subset walk (explicit paths / --changed-only) may simply not
-    # include the twin members: a missing member is only a finding when
-    # the whole tree was walked
-    findings.extend(_cross_passes(config, edges, twin_modules,
-                                  run_twins=paths is None))
+    findings.extend(_layer_pass(config, edges))
     findings = sorted(findings)
     suppressed: List[Finding] = []
     unused: List[str] = []

@@ -23,8 +23,9 @@ Determinism contract -- the server must be invisible to the run:
 * it reads no wall clock, so ``detlint --strict`` needs no new
   baseline entry for this module;
 * a campaign's event digest and store sha256 are bit-identical with
-  the server on or off (asserted by ``repro-study serve --verify``,
-  the integration tests and the ``bench_observability`` leg).
+  the server on or off (asserted under concurrent scrapes by
+  ``tests/integration/test_observability.py::TestServerEquivalence``
+  and by the ``bench_observability`` leg).
 
 Handlers race the simulation thread only through the GIL: a registry
 snapshot taken mid-mutation can raise ``RuntimeError`` (dict changed

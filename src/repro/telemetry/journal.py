@@ -27,6 +27,7 @@ events, so the cadence is part of a run's event digest).
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional
@@ -51,9 +52,11 @@ class RunJournal:
     def __init__(self, path: Path, interval_s: Optional[float] = None,
                  probes: Optional[Dict[str, Probe]] = None,
                  registry: Optional[MetricRegistry] = None) -> None:
-        if interval_s is not None and interval_s <= 0:
+        # written so nan fails too; inf would overflow the scheduler
+        if interval_s is not None and not 0 < interval_s < math.inf:
             raise ValueError(
-                f"interval_s must be positive, got {interval_s!r}")
+                f"interval_s must be finite and positive, got "
+                f"{interval_s!r}")
         self.path = Path(path)
         #: None = auto (resolved against the horizon at install time)
         self.interval_s = interval_s

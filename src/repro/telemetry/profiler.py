@@ -10,18 +10,15 @@ count, estimates where the campaign's wall time actually went -- a
 per-label profile that costs ~1/64th of a real profiler and is always
 on.
 
-The report is a pure function of a :class:`MetricRegistry` (or a
-registry snapshot, e.g. a served ``/snapshot.json`` body), so it works
-on live runs, merged replication registries and saved files alike.
-Surfaced as ``repro-study hotspots`` and the observability plane's
-``/hotspots.json`` endpoint.
+The report is a pure function of a :class:`MetricRegistry`, so it
+works on live runs and merged replication registries alike.
+``repro-study run --telemetry-dir`` prints it after each campaign, and
+the observability plane serves it as ``/hotspots.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .registry import Histogram, MetricRegistry
@@ -143,16 +140,6 @@ class HotspotReport:
         return cls(hotspots=tuple(rows), sample_every=sample_every,
                    estimated_total_s=total)
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "HotspotReport":
-        """Build from a registry snapshot dict (or a ``/snapshot.json``
-        body, whose registry lives under the ``"registry"`` key)."""
-        if "registry" in snapshot and "metrics" not in snapshot:
-            snapshot = snapshot["registry"]
-        registry = MetricRegistry(max_label_cardinality=None)
-        registry.merge_snapshot(snapshot)
-        return cls.from_registry(registry)
-
     def top(self, n: int) -> Tuple[Hotspot, ...]:
         """The ``n`` heaviest labels."""
         return self.hotspots[:n]
@@ -184,11 +171,3 @@ class HotspotReport:
             "estimated_total_s": self.estimated_total_s,
             "hotspots": [row.to_dict() for row in self.hotspots],
         }
-
-    def to_json(self, path) -> None:
-        """Write :meth:`to_dict` as pretty JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2,
-                                   sort_keys=True) + "\n",
-                        encoding="utf-8")

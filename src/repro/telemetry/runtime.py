@@ -39,22 +39,15 @@ class CampaignTelemetry:
     registry: MetricRegistry = field(default_factory=MetricRegistry)
     tracer: SpanTracer = field(default_factory=SpanTracer)
     journal: Optional[RunJournal] = None
-    #: sample one in N event callbacks for wall-time histograms
-    sample_every: int = 64
-    #: keep 1-in-N clean span chains in the trace export (infected
-    #: chains are always kept; see repro.telemetry.tracer)
-    trace_sample_every: int = 1
     kernel: KernelTelemetry = field(init=False)
 
     def __post_init__(self) -> None:
-        self.kernel = KernelTelemetry(self.registry,
-                                      sample_every=self.sample_every)
+        self.kernel = KernelTelemetry(self.registry)
 
     @classmethod
     def for_directory(cls, directory: Path, name: str,
-                      journal_interval_s: Optional[float] = None,
-                      sample_every: int = 64,
-                      trace_sample_every: int = 1) -> "CampaignTelemetry":
+                      journal_interval_s: Optional[float] = None
+                      ) -> "CampaignTelemetry":
         """A bundle whose journal lives at ``<directory>/<name>_journal.jsonl``.
 
         ``journal_interval_s=None`` (the default) derives the snapshot
@@ -67,9 +60,7 @@ class CampaignTelemetry:
         journal = RunJournal(directory / f"{name}_journal.jsonl",
                              interval_s=journal_interval_s,
                              registry=registry)
-        return cls(registry=registry, journal=journal,
-                   sample_every=sample_every,
-                   trace_sample_every=trace_sample_every)
+        return cls(registry=registry, journal=journal)
 
     def write_outputs(self, directory: Path, name: str) -> Dict[str, Path]:
         """Dump metrics + spans + trace under ``directory``; returns the paths."""
@@ -82,9 +73,7 @@ class CampaignTelemetry:
         spans_path = directory / f"{name}_spans.jsonl"
         self.tracer.to_jsonl(spans_path)
         trace_path = directory / f"{name}_trace.json"
-        write_trace(self.tracer, trace_path,
-                    sample_every=self.trace_sample_every,
-                    process_name=name)
+        write_trace(self.tracer, trace_path, process_name=name)
         written = {"metrics": metrics_path, "spans": spans_path,
                    "trace": trace_path}
         if self.journal is not None:

@@ -36,11 +36,10 @@ class TestParser:
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", [
-        "run --days", "replicate --days", "chaos --days", "chaos --scale",
-        "telemetry --days", "serve --days", "serve --scale",
-        "hotspots --days", "hotspots --scale", "selfcheck --days",
-        "selfcheck --scale", "profile limewire --days",
-        "profile limewire --scale",
+        "run --days", "run --scale", "replicate --days",
+        "replicate --deadline", "replicate --stall-timeout",
+        "replicate --journal-interval", "chaos --days", "chaos --scale",
+        "selfcheck --days", "selfcheck --scale",
     ])
     def test_campaign_length_and_scale_must_be_finite_positive(
             self, command, value, capsys):
@@ -62,6 +61,7 @@ class TestRun:
         assert saved_store.exists()
         first_line = saved_store.read_text().splitlines()[0]
         assert "limewire" in first_line
+
 
 
 class TestReplicate:
@@ -214,12 +214,13 @@ class TestMalformedStore:
 
 
 class TestServe:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.network == "limewire"
-        assert args.port == 8000
-        assert args.journal_interval is None
-        assert args.verify is False
+    """``run --serve-port`` serves a campaign live while it runs."""
+
+    def test_serve_port_requires_telemetry_dir(self, tmp_path, capsys):
+        code = main(["run", "--serve-port", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--telemetry-dir" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_replicate_serve_port_requires_telemetry_dir(self, capsys):
         code = main(["replicate", "--serve-port", "0"])
@@ -227,50 +228,39 @@ class TestServe:
         assert "--telemetry-dir" in capsys.readouterr().err
 
     def test_serve_runs_and_writes_outputs(self, tmp_path, capsys):
-        out = tmp_path / "served"
-        code = main(["serve", "--network", "limewire", "--days", "0.02",
-                     "--scale", "0.35", "--port", "0",
-                     "--out", str(out)])
+        base = ["run", "--network", "limewire", "--days", "0.02",
+                "--scale", "0.35", "--seed", "3"]
+        served, telemetry = tmp_path / "served", tmp_path / "telemetry"
+        code = main(base + ["--out", str(served),
+                            "--telemetry-dir", str(telemetry),
+                            "--serve-port", "0"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "serving http://127.0.0.1:" in output
-        assert (out / "limewire_trace.json").exists()
-        assert (out / "limewire_metrics.prom").exists()
+        assert "observability endpoint: http://127.0.0.1:" in output
+        for name in ("journal.jsonl", "metrics.prom", "spans.jsonl",
+                     "trace.json"):
+            assert (telemetry / f"limewire_{name}").stat().st_size > 0
+        # serving and exporting observe the campaign without changing it
+        bare = tmp_path / "bare"
+        assert main(base + ["--out", str(bare)]) == 0
+        assert ((served / "limewire.jsonl").read_bytes()
+                == (bare / "limewire.jsonl").read_bytes())
 
 
 class TestHotspots:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["hotspots"])
-        assert args.network == "limewire"
-        assert args.top == 15
+    """``run --telemetry-dir`` ends with the kernel hotspot table."""
 
     def test_prints_ranked_table(self, tmp_path, capsys):
-        json_path = tmp_path / "hotspots.json"
-        code = main(["hotspots", "--network", "limewire", "--days",
-                     "0.02", "--scale", "0.35",
-                     "--json", str(json_path)])
+        telemetry = tmp_path / "telemetry"
+        code = main(["run", "--network", "limewire", "--days", "0.02",
+                     "--scale", "0.35", "--out", str(tmp_path / "out"),
+                     "--telemetry-dir", str(telemetry)])
         assert code == 0
         output = capsys.readouterr().out
         assert "kernel hotspots" in output
         assert "share" in output
-        assert json_path.exists()
-
-    def test_reads_saved_snapshot(self, tmp_path, capsys):
-        import json as json_module
-
-        from repro.telemetry.registry import MetricRegistry
-        registry = MetricRegistry()
-        registry.histogram("sim_callback_wall_seconds", "Wall.",
-                           labels=("label",),
-                           buckets=(0.001,)).labels("scan").observe(0.0005)
-        registry.get("sim_events_total") or registry.counter(
-            "sim_events_total", "Events.",
-            labels=("label",)).labels("scan").inc(64)
-        path = tmp_path / "snap.json"
-        path.write_text(json_module.dumps(registry.snapshot()))
-        code = main(["hotspots", "--snapshot", str(path)])
-        assert code == 0
-        assert "scan" in capsys.readouterr().out
+        assert "observability endpoint" not in output
+        assert (telemetry / "limewire_metrics.prom").exists()
 
 
 class TestDoctor:

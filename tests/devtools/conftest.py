@@ -24,7 +24,7 @@ def codes(findings):
 
 def parse_source(source, dotted="repro.gnutella.fake",
                  relpath="src/repro/gnutella/fake.py"):
-    """A Module for the pass-level checks (dataflow / twins / concurrency)."""
+    """A Module for the pass-level checks (dataflow / concurrency)."""
     return Module(path=Path(relpath), relpath=relpath, dotted=dotted,
                   tree=ast.parse(source), source=source)
 

@@ -1,6 +1,7 @@
 """Tests for the JSONL run journal."""
 
 import json
+import math
 
 import pytest
 
@@ -40,9 +41,11 @@ class TestCadence:
         assert rows[-2]["virtual_time"] == pytest.approx(30.0)
         assert rows[-1]["virtual_time"] == pytest.approx(500.0)
 
-    def test_interval_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize("interval_s", [0.0, -1, math.nan, math.inf])
+    def test_interval_must_be_positive(self, tmp_path, interval_s):
+        # nan slips past a plain <= 0 check; inf overflows the scheduler
         with pytest.raises(ValueError):
-            RunJournal(tmp_path / "run.jsonl", interval_s=0.0)
+            RunJournal(tmp_path / "run.jsonl", interval_s=interval_s)
 
 
 class TestAutoInterval:
