@@ -75,6 +75,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type for a TCP port to serve on: an integer in 0-65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in 0-65535, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro-study argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -97,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="instrument every campaign, write its journal, "
                           "spans, trace and metrics here and print its "
                           "kernel hotspots")
-    run.add_argument("--serve-port", type=int, default=None,
+    run.add_argument("--serve-port", type=_port, default=None,
                      help="serve the campaigns live over HTTP while they "
                           "run (0 = ephemeral port; requires "
                           "--telemetry-dir)")
@@ -147,10 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: horizon/100 clamped to "
                                 "[1s, 3600s]; pass 3600 for the fixed "
                                 "hourly cadence)")
-    replicate.add_argument("--serve-port", type=int, default=None,
+    replicate.add_argument("--serve-port", type=_port, default=None,
                            help="serve the fan-out live on one aggregated "
                                 "observability endpoint (0 = ephemeral "
                                 "port; requires --telemetry-dir)")
+    replicate.add_argument("--host", default="127.0.0.1",
+                           help="bind address for --serve-port")
     replicate.add_argument("--supervise", action="store_true",
                            help="run workers under heartbeat supervision: "
                                 "hung or stalled workers are killed, "
@@ -366,6 +381,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                               checkpoint=args.checkpoint,
                               journal_interval_s=args.journal_interval,
                               serve_port=args.serve_port,
+                              serve_host=args.host,
                               on_serve=lambda url: print(
                                   f"observability endpoint: {url}"),
                               supervision=supervision,

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..measure.store import MeasurementStore
 
 __all__ = ["LatencySummary", "latency_summary"]
@@ -50,6 +48,9 @@ def latency_summary(store: MeasurementStore,
                               if record.latency is not None]
     if not latencies:
         return None
+    # imported here: no campaign command calls this, so none loads numpy
+    import numpy as np
+
     values = np.asarray(latencies)
     p10, p50, p90, p99 = np.percentile(values, [10, 50, 90, 99])
     return LatencySummary(count=len(latencies), p10=float(p10),

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-import numpy as np
-
 from ..measure.records import ResponseRecord
 from ..measure.store import MeasurementStore
 
@@ -156,6 +154,9 @@ def bootstrap_ci(store: MeasurementStore, statistic: StatisticFn,
     records = store.records()
     if not records:
         return ConfidenceInterval(0.0, 0.0, 0.0, confidence)
+    # imported here: no campaign command calls this, so none loads numpy
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     count = len(records)
     values: List[float] = []

@@ -19,7 +19,7 @@ from ...files.types import is_downloadable_type, type_for_extension
 __all__ = ["ResponseRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseRecord:
     """One response row in the measurement store."""
 

@@ -30,6 +30,8 @@ class MeasurementStore:
         #: the downloader sets ``downloaded`` and ``malware_name`` after
         #: ``add``, so the selections below read those when called.
         self._typed: List[ResponseRecord] = []
+        #: the strings :meth:`add` shares, freed with the store
+        self._strings: Dict[str, str] = {}
         self.queries_issued = 0
 
     def __len__(self) -> int:
@@ -39,11 +41,26 @@ class MeasurementStore:
         return iter(self._records)
 
     def add(self, record: ResponseRecord) -> None:
-        """Append one response."""
+        """Append one response.
+
+        A responder's key and host, a popular file's name and hash, a
+        vendor code and a query each recur across many responses, so
+        those six fields are swapped for the equal string the store
+        already holds: each distinct value is kept once per store.
+        """
         if record.network != self.network:
             raise ValueError(
                 f"record network {record.network!r} does not match store "
                 f"{self.network!r}")
+        share = self._strings.setdefault
+        record.query = share(record.query, record.query)
+        record.responder_host = share(record.responder_host,
+                                      record.responder_host)
+        record.responder_key = share(record.responder_key,
+                                     record.responder_key)
+        record.filename = share(record.filename, record.filename)
+        record.content_id = share(record.content_id, record.content_id)
+        record.vendor = share(record.vendor, record.vendor)
         self._records.append(record)
         if record.counts_as_downloadable_type:
             self._typed.append(record)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .names import tokenize
 from .payload import Blob
@@ -21,7 +21,7 @@ __all__ = ["SharedFile", "SharedLibrary"]
 _file_counter = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedFile:
     """One entry of a peer's shared folder."""
 
@@ -52,7 +52,9 @@ class SharedLibrary:
 
     def __init__(self) -> None:
         self._files: Dict[int, SharedFile] = {}
-        self._token_index: Dict[str, Set[int]] = {}
+        #: token -> ids of the files whose name has it, in add order (a
+        #: token is in ~2 files of a library: a tuple is a quarter of a set)
+        self._token_index: Dict[str, Tuple[int, ...]] = {}
         #: bumped by every add/remove that changes the shared set, so
         #: encodings derived from the library can be cached per version
         self.version = 0
@@ -69,8 +71,9 @@ class SharedLibrary:
             return
         self._files[shared.file_id] = shared
         self.version += 1
+        index = self._token_index
         for token in shared.tokens:
-            self._token_index.setdefault(token, set()).add(shared.file_id)
+            index[token] = index.get(token, ()) + (shared.file_id,)
 
     def remove(self, file_id: int) -> None:
         """Stop sharing a file."""
@@ -78,12 +81,14 @@ class SharedLibrary:
         if shared is None:
             return
         self.version += 1
+        index = self._token_index
         for token in shared.tokens:
-            bucket = self._token_index.get(token)
-            if bucket is not None:
-                bucket.discard(file_id)
-                if not bucket:
-                    del self._token_index[token]
+            remaining = tuple(other for other in index[token]
+                              if other != file_id)
+            if remaining:
+                index[token] = remaining
+            else:
+                del index[token]
 
     def files(self) -> List[SharedFile]:
         """Snapshot of all shared files (stable id order)."""
@@ -107,7 +112,7 @@ class SharedLibrary:
         candidate_sets.sort(key=len)
         matched_ids = set(candidate_sets[0])
         for bucket in candidate_sets[1:]:
-            matched_ids &= bucket
+            matched_ids.intersection_update(bucket)
             if not matched_ids:
                 return []
         matches = [self._files[file_id] for file_id in sorted(matched_ids)]

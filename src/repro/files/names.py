@@ -13,6 +13,7 @@ tokens split on non-alphanumerics.
 from __future__ import annotations
 
 import re
+import sys
 from typing import FrozenSet, List, Sequence, Tuple
 
 from ..simnet.rng import SeededStream
@@ -80,8 +81,12 @@ def normalize(name: str) -> str:
 
 
 def tokenize(name: str) -> FrozenSet[str]:
-    """Set of alphanumeric tokens of a (file or query) name."""
-    return frozenset(_TOKEN_PATTERN.findall(name.lower()))
+    """Set of alphanumeric tokens of a (file or query) name.
+
+    Each token is interned: the word pools bound the vocabulary, so one
+    string per token serves every file's token set and every index key.
+    """
+    return frozenset(map(sys.intern, _TOKEN_PATTERN.findall(name.lower())))
 
 
 class NameGenerator:

@@ -4,16 +4,14 @@ Content popularity in file-sharing networks is classically Zipf-like (with
 the fetch-at-most-once flattening noted by Gummadi et al.); we use a plain
 truncated Zipf for the *sharing* distribution, which is what shapes how
 many replicas of each work exist and therefore how many responses a query
-gets.  numpy builds the cumulative distribution once per sampler; each
-draw is a ``bisect`` over it as a plain list, since a numpy call per
-single draw costs more than the search.
+gets.  The cumulative distribution is built once per sampler as a
+plain list of floats; each draw is a ``bisect`` over it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-
-import numpy as np
+from itertools import accumulate
 
 from ..simnet.rng import SeededStream
 
@@ -30,12 +28,12 @@ class ZipfSampler:
             raise ValueError(f"alpha must be non-negative, got {alpha!r}")
         self.n = n
         self.alpha = alpha
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        #: the same float64 values as Python floats, so a bisect compares
-        #: exactly what ``np.searchsorted`` would
-        self._cdf = cdf.tolist()
+        # summed left to right, then divided by the total, as numpy's
+        # cumsum did: the pinned stores rest on these exact floats
+        sums = list(accumulate(1.0 / float(rank) ** alpha
+                               for rank in range(1, n + 1)))
+        total = sums[-1]
+        self._cdf = [partial / total for partial in sums]
 
     def probability(self, rank: int) -> float:
         """P(rank); ranks are 1-based."""

@@ -1,7 +1,13 @@
 """Tests for the repro-study CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -49,6 +55,17 @@ class TestParser:
         assert exited.value.code == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    @pytest.mark.parametrize("command", ["run", "replicate"])
+    def test_serve_port_must_be_a_port(self, command, port, tmp_path,
+                                       capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--telemetry-dir", str(tmp_path),
+                  f"--serve-port={port}"])
+        assert exited.value.code == 2
+        assert "--serve-port" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_analyze_days_accepts_zero(self):
         # analyze reads a saved store; its --days only labels table T1
         args = build_parser().parse_args(["analyze", "x.jsonl",
@@ -61,6 +78,25 @@ class TestRun:
         assert saved_store.exists()
         first_line = saved_store.read_text().splitlines()[0]
         assert "limewire" in first_line
+
+    def test_campaign_commands_import_no_numpy(self, tmp_path):
+        # a fresh interpreter: this test process has numpy loaded already
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['run', '--network', 'limewire', '--days', '0.02',"
+            " '--scale', '0.35', '--out', out]) == 0\n"
+            "assert main(['analyze', out + '/limewire.jsonl',"
+            " '--days', '0.02']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 
@@ -226,6 +262,15 @@ class TestServe:
         code = main(["replicate", "--serve-port", "0"])
         assert code == 2
         assert "--telemetry-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_replicate_serves_on_host(self, host, tmp_path, capsys):
+        code = main(["replicate", "--seeds", "1", "--days", "0.01",
+                     "--workers", "1", "--telemetry-dir", str(tmp_path),
+                     "--serve-port", "0", "--host", host])
+        assert code == 0
+        assert (f"observability endpoint: http://{host}:"
+                in capsys.readouterr().out)
 
     def test_serve_runs_and_writes_outputs(self, tmp_path, capsys):
         base = ["run", "--network", "limewire", "--days", "0.02",

@@ -1,5 +1,7 @@
 """Tests for response records."""
 
+import pytest
+
 from repro.core.measure.records import ResponseRecord
 
 from .conftest import make_record
@@ -41,3 +43,11 @@ class TestPersistence:
         restored = ResponseRecord.from_json(record.to_json())
         assert restored == record
         assert not restored.downloaded
+
+
+class TestFootprint:
+    def test_record_is_slotted(self):
+        record = make_record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.core.measure.records import ResponseRecord
 from repro.core.measure.store import MeasurementStore
 
 from .conftest import make_record
@@ -70,6 +71,49 @@ class TestPersistence:
         assert loaded.network == "openft"
 
 
+class TestSharedStrings:
+    """Equal values of the repeated string fields are one object per store."""
+
+    FIELDS = ("query", "responder_host", "responder_key", "filename",
+              "content_id", "vendor")
+
+    @staticmethod
+    def _twin_records():
+        # every string is built at run time: equal values, two objects
+        def record(time):
+            return ResponseRecord(
+                network="limewire", time=time,
+                query=" ".join(["free", "music"]),
+                responder_host=".".join(["8", "8", "4", "4"]),
+                responder_port=6346, responder_key="".join(["ab"] * 16),
+                filename="_".join(["photoshop", "crack.exe"]),
+                size=1000, content_id=":".join(["urn:sha1", "X" * 32]),
+                vendor="".join(["LIM", "E"]))
+        first, second = record(1.0), record(2.0)
+        for name in TestSharedStrings.FIELDS:
+            assert getattr(first, name) is not getattr(second, name)
+        return first, second
+
+    def _assert_shared(self, first, second):
+        for name in self.FIELDS:
+            assert getattr(first, name) == getattr(second, name)
+            assert getattr(first, name) is getattr(second, name), name
+
+    def test_add_shares_equal_strings(self):
+        store = MeasurementStore("limewire")
+        store.extend(self._twin_records())
+        self._assert_shared(*store.records())
+
+    def test_load_shares_equal_strings(self, tmp_path):
+        store = MeasurementStore("limewire")
+        store.extend(self._twin_records())
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        loaded = MeasurementStore.load(path)
+        assert loaded.content_digest() == store.content_digest()
+        self._assert_shared(*loaded.records())
+
+
 class TestAtomicSave:
     """A save either completes or leaves the previous file untouched."""
 
@@ -79,16 +123,23 @@ class TestAtomicSave:
         return path
 
     def test_write_failing_partway_keeps_previous_file(self, synthetic_store,
-                                                       tmp_path):
+                                                       tmp_path, monkeypatch):
         path = self._previous(tmp_path)
         # the sixth record fails to encode, after five lines were written
-        broken = synthetic_store.records()[5]
+        records = synthetic_store.records()
+        broken = records[5]
+        encode = ResponseRecord.to_json
+        encoded = []
 
-        def fail():
-            raise OSError(28, "no space left on device")
-        broken.to_json = fail
+        def fail_on_broken(record):
+            if record is broken:
+                raise OSError(28, "no space left on device")
+            encoded.append(record)
+            return encode(record)
+        monkeypatch.setattr(ResponseRecord, "to_json", fail_on_broken)
         with pytest.raises(OSError):
             synthetic_store.save(path)
+        assert encoded == records[:5]
         assert path.read_bytes() == b"previous bytes\n"
         assert list(tmp_path.iterdir()) == [path]
 

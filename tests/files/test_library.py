@@ -1,10 +1,13 @@
 """Tests for the shared library and its keyword matching."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.files.library import SharedFile, SharedLibrary
+from repro.files.names import tokenize
 from repro.files.payload import Blob
 
 
@@ -96,6 +99,14 @@ class TestLookups:
         assert ids == sorted(ids)
 
 
+class TestFootprint:
+    def test_shared_file_is_slotted(self, library):
+        shared = library.files()[0]
+        assert not hasattr(shared, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            shared.name = "renamed.mp3"
+
+
 @given(st.lists(st.sampled_from(
     ["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=4,
     unique=True))
@@ -107,3 +118,43 @@ def test_matching_invariant_every_token_present(tokens):
     lib.add(shared)
     assert lib.match(" ".join(tokens)) == [shared]
     assert lib.match(" ".join(tokens + ["omega"])) == []
+
+
+#: a few names over a small vocabulary, so tokens are shared between
+#: files and queries hit several of them; "__.__" has no tokens at all
+_POOL = tuple(make_file(name) for name in (
+    "alpha_beta.mp3", "beta gamma.zip", "alpha.zip", "Gamma-Delta.mp3",
+    "alpha beta gamma.exe", "delta.mp3", "beta.mp3", "__.__"))
+_QUERIES = ("alpha", "beta", "alpha beta", "gamma delta", "mp3",
+            "beta zip", "alpha beta gamma exe", "zeta", "")
+_steps = st.lists(st.tuples(st.sampled_from(("add", "remove")),
+                            st.sampled_from(_POOL)), max_size=40)
+
+
+@given(_steps)
+@settings(max_examples=100, deadline=None)
+def test_library_matches_brute_force_model(steps):
+    """Oracle: after every add/remove, the token index answers as a scan
+    over the shared files would."""
+    library = SharedLibrary()
+    shared = {}
+    for action, item in steps:
+        if action == "add":
+            library.add(item)
+            shared[item.file_id] = item
+        else:
+            library.remove(item.file_id)
+            shared.pop(item.file_id, None)
+        assert len(library) == len(shared)
+        tokens = list(library.all_tokens())
+        assert len(tokens) == len(set(tokens))
+        assert set(tokens) == {token for item in shared.values()
+                               for token in item.tokens}
+        for query in _QUERIES:
+            wanted = tokenize(query)
+            expected = ([shared[file_id] for file_id in sorted(shared)
+                         if wanted <= shared[file_id].tokens]
+                        if wanted else [])
+            assert library.match(query) == expected
+            for limit in (0, 1, 2):
+                assert library.match(query, limit=limit) == expected[:limit]

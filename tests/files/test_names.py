@@ -1,5 +1,7 @@
 """Tests for naming and tokenization."""
 
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,15 @@ class TestTokenize:
 
     def test_numbers_kept(self):
         assert "2006" in tokenize("top hits 2006")
+
+    def test_tokens_are_interned(self):
+        # built at run time, so only interning makes them the same object
+        first = tokenize("_".join(["madonna", "angel.mp3"]))
+        second = tokenize("-".join(["Madonna", "angel"]))
+        for token in ("madonna", "angel"):
+            ours = next(word for word in first if word == token)
+            theirs = next(word for word in second if word == token)
+            assert ours is theirs is sys.intern(token)
 
     @given(st.text(max_size=80))
     @settings(max_examples=100, deadline=None)

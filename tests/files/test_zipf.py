@@ -83,15 +83,48 @@ class TestZipfSampler:
     @given(n=st.integers(1, 60), alpha=st.floats(0.0, 3.0), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_ranks_equal_numpy_searchsorted(self, n, alpha, data):
-        # the reference is the numpy search the sampler used to run; the
-        # draws include exact CDF entries, 0.0 and the largest float < 1
-        cdf = _numpy_cdf(n, alpha)
+        # the reference is a numpy search over the sampler's own CDF; the
+        # draws include its exact entries, 0.0 and the largest float < 1
+        sampler = ZipfSampler(n, alpha)
+        cdf = np.array(sampler._cdf)
         draws = data.draw(st.lists(
-            st.sampled_from(cdf.tolist())
+            st.sampled_from(sampler._cdf)
             | st.sampled_from([0.0, math.nextafter(1.0, 0.0)])
             | st.floats(0.0, 1.0, exclude_max=True),
             min_size=1, max_size=20))
-        sampler = ZipfSampler(n, alpha)
         ranks = sampler.sample(_ScriptedStream(draws), len(draws))
         expected = np.searchsorted(cdf, np.array(draws), side="left") + 1
         assert ranks == [int(rank) for rank in expected]
+
+
+def _assert_within_ulps(sampler, reference, ulps):
+    for ours, theirs in zip(sampler._cdf, reference.tolist(), strict=True):
+        assert abs(ours - theirs) <= ulps * math.ulp(theirs)
+
+
+class TestAgainstNumpyCdf:
+    """The builtin running sum against numpy's ``cumsum`` of the weights.
+
+    numpy picks its ``power`` kernel from the host's SIMD features, so
+    the two CDFs may differ in the last bits of some entries (at most
+    2 ULP at the catalogs' alpha = 0.85), never in a drawn rank.
+    """
+
+    @pytest.mark.parametrize("n, alpha", [(2000, 0.85), (1500, 0.85)])
+    def test_catalog_cdfs_within_4_ulp(self, n, alpha):
+        _assert_within_ulps(ZipfSampler(n, alpha), _numpy_cdf(n, alpha), 4)
+
+    @given(n=st.integers(1, 3000), alpha=st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_cdfs_within_4_ulp(self, n, alpha):
+        _assert_within_ulps(ZipfSampler(n, alpha), _numpy_cdf(n, alpha), 4)
+
+    @pytest.mark.parametrize("n, alpha", [(2000, 0.85), (1500, 0.85)])
+    def test_catalog_draws_pick_the_same_ranks(self, n, alpha):
+        stream = SeededStream(11, "zipf-oracle")
+        draws = np.array([stream.random() for _ in range(100_000)])
+        ranks = ZipfSampler(n, alpha).sample(_ScriptedStream(draws.tolist()),
+                                             len(draws))
+        expected = np.searchsorted(_numpy_cdf(n, alpha), draws,
+                                   side="left") + 1
+        assert ranks == expected.tolist()
