@@ -457,11 +457,16 @@ def _changed_python_files(root: Path) -> Optional[List[Path]]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .devtools.detlint import (BaselineError, lint_repo, load_config,
-                                   render_sarif)
+    from .devtools.detlint import (BaselineError, ConfigError, lint_repo,
+                                   load_config, render_sarif)
 
     root = args.root if args.root is not None else _find_repo_root()
     paths = [Path(p) for p in args.paths] or None
+    try:
+        config = load_config(root)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.changed_only:
         changed = _changed_python_files(root)
         if changed is None:
@@ -470,7 +475,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
         # only files the full walk would cover (src/<package>/): tests
         # and tooling scripts are out of scope for detlint
-        config = load_config(root)
         package_root = root / config.src / config.package
         changed = [path for path in changed
                    if package_root in path.parents]
@@ -480,7 +484,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 0
         paths = changed
     try:
-        result = lint_repo(root, paths=paths,
+        result = lint_repo(root, paths=paths, config=config,
                            use_cache=not args.no_cache,
                            partial=args.changed_only)
     except BaselineError as error:

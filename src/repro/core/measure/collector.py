@@ -158,7 +158,8 @@ class OpenFTCollector:
         self._issue_time_by_search_id: Dict[int, float] = {}
         self._query_span_by_search_id: Dict[int, Span] = {}
         #: (search_id, host, md5, name) tuples already recorded -- the OpenFT
-        #: mesh can deliver the same result via several parents
+        #: mesh can deliver the same result via several parents.  Each
+        #: tuple holds the store's shared strings, not the response's
         self._seen: set = set()
         crawler.on_search_result = self._on_result
 
@@ -178,11 +179,9 @@ class OpenFTCollector:
         query = self._query_by_search_id.get(response.search_id)
         if query is None:
             return
-        dedup_key = (response.search_id, response.host, response.md5,
-                     response.filename)
-        if dedup_key in self._seen:
+        if (response.search_id, response.host, response.md5,
+                response.filename) in self._seen:
             return
-        self._seen.add(dedup_key)
         record = ResponseRecord(
             network="openft",
             time=self.sim.now,
@@ -200,6 +199,8 @@ class OpenFTCollector:
                 response.search_id, -1.0),
         )
         self.store.add(record)
+        self._seen.add((response.search_id, record.responder_host,
+                        record.content_id, record.filename))
         response_span = self.telemetry.note_response(
             record, self._query_span_by_search_id.get(response.search_id))
         host, md5 = response.host, response.md5

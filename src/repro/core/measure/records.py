@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 from ...files.types import is_downloadable_type, type_for_extension
+from ...telemetry.spans import json_value
 
 __all__ = ["ResponseRecord"]
 
@@ -86,12 +89,12 @@ class ResponseRecord:
         """One JSON line (the store's on-disk format).
 
         The bytes are those of ``json.dumps(asdict(record),
-        sort_keys=True, separators=(",", ":"))``: every field is a str,
-        number, bool or None, so encoding the values in sorted key order
-        skips ``asdict``'s deep copy and changes nothing on disk.
+        sort_keys=True, separators=(",", ":"))``: the line is one ``%``
+        template over the sorted keys, and :func:`json_value` spells
+        each value as ``json.dumps`` does, whatever its type.
         """
-        return _ENCODER.encode({name: getattr(self, name)
-                                for name in _SORTED_FIELDS})
+        return _LINE % tuple([json_value(value, _SEPARATORS)
+                              for value in _SORTED_VALUES(self)])
 
     @staticmethod
     def from_json(line: str) -> "ResponseRecord":
@@ -103,4 +106,8 @@ class ResponseRecord:
 #: field names in the order ``sort_keys=True`` would emit them
 _SORTED_FIELDS = tuple(sorted(field.name
                               for field in fields(ResponseRecord)))
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SORTED_VALUES = attrgetter(*_SORTED_FIELDS)
+_SEPARATORS = (",", ":")
+#: ``{"busy":%s,"content_id":%s,...}``
+_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(name)}:%s"
+                          for name in _SORTED_FIELDS)

@@ -18,18 +18,18 @@ the content-addressed result cache and :mod:`.sarif` the SARIF export.
 from .cache import CACHE_DIR_NAME, LintCache, config_digest
 from .concurrency import check_concurrency
 from .dataflow import check_dataflow
-from .engine import (BASELINE_ALLOWED_CODES, BaselineError, LintConfig,
-                     LintResult, collect_modules, lint_modules, lint_repo,
-                     load_baseline, load_config, module_passes)
+from .engine import (BASELINE_ALLOWED_CODES, BaselineError, ConfigError,
+                     LintConfig, LintResult, collect_modules, lint_modules,
+                     lint_repo, load_baseline, load_config, module_passes)
 from .findings import Finding, Module, Rule, parse_module
 from .layering import ImportEdge, check_edges, check_layers, extract_edges
 from .rules import DEFAULT_RULES, all_rules
 from .sarif import render_sarif, to_sarif
 
 __all__ = [
-    "BASELINE_ALLOWED_CODES", "BaselineError", "LintConfig", "LintResult",
-    "collect_modules", "lint_modules", "lint_repo", "load_baseline",
-    "load_config", "module_passes",
+    "BASELINE_ALLOWED_CODES", "BaselineError", "ConfigError", "LintConfig",
+    "LintResult", "collect_modules", "lint_modules", "lint_repo",
+    "load_baseline", "load_config", "module_passes",
     "Finding", "Module", "Rule", "parse_module",
     "ImportEdge", "check_edges", "check_layers", "extract_edges",
     "DEFAULT_RULES", "all_rules",

@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - older interpreters
     tomllib = None
 
 __all__ = ["LintConfig", "LintResult", "load_config", "collect_modules",
-           "lint_modules", "lint_repo", "BaselineError"]
+           "lint_modules", "lint_repo", "BaselineError", "ConfigError"]
 
 #: rule codes the baseline may suppress (annotated grandfathering only).
 #: DET002 is the historical telemetry wall-time whitelist; the analysis
@@ -58,6 +58,10 @@ BASELINE_ALLOWED_CODES = ("DET002", "DET003", "DET007", "DET008",
 
 class BaselineError(ValueError):
     """The baseline file tried to suppress something it must not."""
+
+
+class ConfigError(ValueError):
+    """The ``[tool.detlint]`` configuration cannot be read."""
 
 
 @dataclass
@@ -95,11 +99,22 @@ def _parse_deferred(entries: Sequence[str]) -> Set[Tuple[str, str]]:
 
 
 def load_config(root: Path) -> LintConfig:
-    """Read ``[tool.detlint]`` from ``<root>/pyproject.toml``."""
+    """Read ``[tool.detlint]`` from ``<root>/pyproject.toml``.
+
+    A root without a ``pyproject.toml`` gets the defaults.  One that has
+    it but runs on an interpreter without :mod:`tomllib` raises
+    :class:`ConfigError`: linting with the defaults there would drop the
+    baseline, the layer DAG and the excludes, and report findings the
+    configured lint does not.
+    """
     root = Path(root)
     pyproject = root / "pyproject.toml"
     table: Dict = {}
-    if pyproject.exists() and tomllib is not None:
+    if pyproject.exists():
+        if tomllib is None:
+            raise ConfigError(
+                f"cannot read {pyproject}: detlint needs Python 3.11's "
+                "tomllib to load [tool.detlint]")
         with pyproject.open("rb") as handle:
             table = tomllib.load(handle).get("tool", {}).get("detlint", {})
     return LintConfig(

@@ -12,6 +12,7 @@ tokens split on non-alphanumerics.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from typing import FrozenSet, List, Sequence, Tuple
@@ -74,17 +75,25 @@ POPULAR_QUERIES = (
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
+#: distinct names :func:`tokenize` remembers.  A 1-day OpenFT world
+#: tokenizes ~6,200 distinct names; 4,096 entries answer 80% of its
+#: ~62,000 calls, and 83% of a 1.5-day Limewire world's ~58,000
+TOKENIZE_MEMO_SIZE = 4096
+
 
 def normalize(name: str) -> str:
     """Lowercase and collapse separators, as servent matchers did."""
     return re.sub(r"[\s_\-.]+", " ", name.lower()).strip()
 
 
+@functools.lru_cache(maxsize=TOKENIZE_MEMO_SIZE)
 def tokenize(name: str) -> FrozenSet[str]:
     """Set of alphanumeric tokens of a (file or query) name.
 
     Each token is interned: the word pools bound the vocabulary, so one
     string per token serves every file's token set and every index key.
+    The result is a frozenset, so a bounded memo hands the same set to
+    every caller of an equal name.
     """
     return frozenset(map(sys.intern, _TOKEN_PATTERN.findall(name.lower())))
 

@@ -18,7 +18,8 @@ from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Transport
-from ..transfer.http import HttpRequest, HttpResponse, gnutella_urn_request
+from ..transfer.http import (gnutella_urn_request, received_request,
+                             received_response)
 from ..transfer.server import serve_request
 from .guid import guid_hex, new_guid
 from .messages import Push, decode_payload, frame, parse_frame
@@ -195,12 +196,14 @@ class GnutellaNetwork:
         """Route a PUSH descriptor to a NATed responder hop by hop.
 
         Retraces the push routes recorded while the QueryHit travelled to
-        the requester; every hop re-encodes and re-parses the Push
-        descriptor, and the walk fails if any hop is offline or has
-        forgotten the route -- the cases where a NATed responder is
-        unreachable in practice -- or when the responder is more than
-        ``MAX_PUSH_HOPS`` hops away.  Returns True when the responder
-        received the PUSH (and would connect back for the HTTP exchange).
+        the requester, and fails if any hop is offline or has forgotten
+        the route -- the cases where a NATed responder is unreachable in
+        practice -- or when the responder is more than ``MAX_PUSH_HOPS``
+        hops away.  Every hop forwards the same bytes (guid, ttl and
+        hops stay fixed), so the Push descriptor is framed, parsed and
+        decoded once, on the first hop; a walk of zero hops runs no
+        codec.  Returns True when the responder received the PUSH (and
+        would connect back for the HTTP exchange).
         """
         requester = self.servents.get(requester_id)
         if requester is None or not requester.is_online():
@@ -222,10 +225,10 @@ class GnutellaNetwork:
             next_hop = self.servents.get(next_hop_id)
             if next_hop is None or not next_hop.is_online():
                 return False
-            # exercise the codec at every hop, as real forwarding would
-            header, payload = parse_frame(
-                frame(guid, push, ttl=self.MAX_PUSH_HOPS, hops=0))
-            decode_payload(header, payload)
+            if hops == 0:
+                header, payload = parse_frame(
+                    frame(guid, push, ttl=self.MAX_PUSH_HOPS, hops=0))
+                decode_payload(header, payload)
             current, hops = next_hop, hops + 1
         return True
 
@@ -247,8 +250,9 @@ class GnutellaNetwork:
         """Attempt to retrieve content from a responder by identity.
 
         Runs the real HTTP exchange: the request/response heads are
-        encoded and parsed through :mod:`repro.transfer`.  A NATed
-        responder cannot accept inbound connections, so when
+        encoded and parsed through :mod:`repro.transfer`, once per
+        distinct head (``received_request``/``received_response``).  A
+        NATed responder cannot accept inbound connections, so when
         ``requester_id`` is given the fetch first routes a PUSH
         descriptor to it (see :meth:`route_push`) and fails if the route
         is dead; without a requester the NATed fetch fails outright.
@@ -264,14 +268,13 @@ class GnutellaNetwork:
                 return None  # no inbound path to a NATed host
             if not self.route_push(requester_id, responder_guid):
                 return None  # PUSH route dead
-        request = HttpRequest.decode(
-            gnutella_urn_request(sha1_urn).encode())
+        request = received_request(gnutella_urn_request, sha1_urn)
         response_head, blob = serve_request(
             request,
             resolve=lambda urn: self._resolve_content(servent, urn),
             is_busy=servent.stream.bernoulli(self.BUSY_PROBABILITY),
             server=servent.user_agent)
-        response = HttpResponse.decode(response_head.encode())
+        response = received_response(response_head.encode())
         if not response.ok or blob is None:
             return None
         assert response.content_length() == blob.size

@@ -17,7 +17,8 @@ from ..simnet.addresses import HostAddress
 from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Transport
-from ..transfer.http import HttpRequest, HttpResponse, openft_request
+from ..transfer.http import (openft_request, received_request,
+                             received_response)
 from ..transfer.server import serve_request
 from .constants import CLASS_SEARCH, CLASS_USER
 from .nodes import OpenFTNode
@@ -208,13 +209,14 @@ class OpenFTNetwork:
               requester_id: Optional[str] = None) -> Optional[Blob]:
         """Attempt the giFT HTTP transfer of ``md5`` from ``host``.
 
-        The request/response heads run through :mod:`repro.transfer`.
-        Fails when the host is unknown (stale index pointing at a gone
-        node) or offline, occasionally 503-busy; a NATed responder
-        additionally needs a push relay through an online parent (or
-        fails outright when no ``requester_id`` is given).  Succeeds when
-        the host shares that content or is infected with the strain it
-        belongs to.
+        The request/response heads run through :mod:`repro.transfer`,
+        once per distinct head (``received_request``/
+        ``received_response``).  Fails when the host is unknown (stale
+        index pointing at a gone node) or offline, occasionally
+        503-busy; a NATed responder additionally needs a push relay
+        through an online parent (or fails outright when no
+        ``requester_id`` is given).  Succeeds when the host shares that
+        content or is infected with the strain it belongs to.
         """
         node = self.node_by_host(host)
         if node is None or not node.is_online():
@@ -224,13 +226,13 @@ class OpenFTNetwork:
                 return None
             if not self.relay_push(requester_id, node, md5):
                 return None
-        request = HttpRequest.decode(openft_request(md5).encode())
+        request = received_request(openft_request, md5)
         response_head, blob = serve_request(
             request,
             resolve=lambda key: self._resolve_content(node, key),
             is_busy=node.stream.bernoulli(self.BUSY_PROBABILITY),
             server="giFT/0.11.8 (OpenFT)")
-        response = HttpResponse.decode(response_head.encode())
+        response = received_response(response_head.encode())
         if not response.ok or blob is None:
             return None
         return blob

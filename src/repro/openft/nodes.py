@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..files.library import SharedLibrary
 from ..files.names import tokenize
@@ -107,10 +107,11 @@ class OpenFTNode:
         #: content under many names (bait copies), each its own entry
         self._records: Dict[Tuple[str, str, str], ShareRecord] = {}
         self._token_index: Dict[str, Set[Tuple[str, str, str]]] = {}
-        #: child -> its keys in ``_records``, in insertion order (a dict
-        #: used as an ordered set), so a drop or removal touches only
-        #: that child's entries
-        self._child_keys: Dict[str, Dict[Tuple[str, str, str], None]] = {}
+        #: child -> {key in ``_records``: the tokens it is indexed
+        #: under}, in insertion order, so a drop or removal touches only
+        #: that child's entries and never tokenizes a filename again
+        self._child_keys: Dict[
+            str, Dict[Tuple[str, str, str], FrozenSet[str]]] = {}
         #: (library version, encoded burst) of the last share sync
         self._burst: Optional[Tuple[int, Tuple[bytes, ...]]] = None
         #: search_id -> (requester endpoint, expiry) for relaying responses
@@ -330,9 +331,10 @@ class OpenFTNode:
         record = self._make_record(src, packet)
         key = (src, packet.md5, packet.filename)
         if key not in self._records:
-            for token in tokenize(packet.filename):
+            tokens = tokenize(packet.filename)
+            for token in tokens:
                 self._token_index.setdefault(token, set()).add(key)
-            self._child_keys.setdefault(src, {})[key] = None
+            self._child_keys.setdefault(src, {})[key] = tokens
         self._records[key] = record
         self.stats.shares_indexed += 1
 
@@ -361,12 +363,12 @@ class OpenFTNode:
             return
         stale = [key for key in keys if key[1] == packet.md5]
         for key in stale:
-            del keys[key]
-            self._unindex(key, self._records.pop(key))
+            del self._records[key]
+            self._unindex(key, keys.pop(key))
 
     def _unindex(self, key: Tuple[str, str, str],
-                 record: ShareRecord) -> None:
-        for token in tokenize(record.filename):
+                 tokens: FrozenSet[str]) -> None:
+        for token in tokens:
             bucket = self._token_index.get(token)
             if bucket is not None:
                 bucket.discard(key)
@@ -380,8 +382,9 @@ class OpenFTNode:
         """Remove a child and all its index entries (TCP drop noticed)."""
         self._children.discard(child_id)
         records = self._records
-        for key in self._child_keys.pop(child_id, ()):
-            self._unindex(key, records.pop(key))
+        for key, tokens in self._child_keys.pop(child_id, {}).items():
+            del records[key]
+            self._unindex(key, tokens)
 
     # -- searching ---------------------------------------------------------
     def _request_id(self) -> int:

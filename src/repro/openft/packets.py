@@ -11,6 +11,7 @@ table in :func:`decode_packet` mirrors :mod:`repro.gnutella.messages`.
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ PACKET_HEADER_LENGTH = 4
 SEARCH_ID_OFFSET = PACKET_HEADER_LENGTH
 #: SearchRequest ttl sits right after the search id (see its ``encode``).
 SEARCH_TTL_OFFSET = SEARCH_ID_OFFSET + 4
+#: distinct payloads :meth:`AddShare.decode` remembers.  A 1-day world
+#: decodes ~53,500 AddShare payloads that hold ~6,500 distinct ones (a
+#: child re-sends its whole library at every session up); 4,096 entries
+#: answer 80% of the decodes from the memo
+ADDSHARE_MEMO_SIZE = 4096
 
 
 class PacketError(ValueError):
@@ -264,7 +270,12 @@ class AddShare:
                 + bytes.fromhex(self.md5) + _pack_string(self.filename))
 
     @staticmethod
+    @functools.lru_cache(maxsize=ADDSHARE_MEMO_SIZE)
     def decode(payload: bytes) -> "AddShare":
+        """The packet of ``payload``, decoded once per distinct payload
+        (the packet is frozen, so every delivery may share it).  A
+        malformed payload raises on every call: the memo keeps no
+        exception."""
         if len(payload) < 21:
             raise PacketError("short addshare")
         size = struct.unpack_from(">I", payload)[0]

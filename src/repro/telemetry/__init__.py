@@ -17,14 +17,16 @@ four pieces:
   their layers;
 * :mod:`~repro.telemetry.httpd` -- the live observability plane: a
   read-only HTTP server (``/metrics``, ``/healthz``, ``/snapshot.json``,
-  ``/journal``, an HTML dashboard at ``/``) over one or many bundles;
+  ``/journal``, an HTML dashboard at ``/``) over one or many bundles,
+  imported on first use of one of its names, since ``http.server``
+  loads ``email``, ``html``, ``http.client`` and ``ssl``, which no
+  campaign needs;
 * :mod:`~repro.telemetry.tracer` -- span chains rendered as Chrome
   trace-event JSON (Perfetto-loadable, infection -> query causality);
 * :mod:`~repro.telemetry.profiler` -- per-label kernel hotspot reports
   from the sampled callback wall-time histograms.
 """
 
-from .httpd import ObservatoryHub, TelemetryServer, tail_journal
 from .journal import RunJournal
 from .kernel import KernelTelemetry
 from .profiler import Hotspot, HotspotReport
@@ -45,3 +47,14 @@ __all__ = [
     "Hotspot", "HotspotReport",
     "build_trace", "chain_roots", "infected_roots", "write_trace",
 ]
+
+_HTTPD_NAMES = ("ObservatoryHub", "TelemetryServer", "tail_journal")
+
+
+def __getattr__(name: str):
+    """Import :mod:`~repro.telemetry.httpd` when one of its names is
+    first read (PEP 562)."""
+    if name in _HTTPD_NAMES:
+        from . import httpd
+        return getattr(httpd, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

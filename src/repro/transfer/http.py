@@ -15,14 +15,20 @@ travels out-of-band as the simulated byte stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = ["HttpError", "HttpRequest", "HttpResponse",
            "gnutella_urn_request", "gnutella_index_request",
-           "openft_request"]
+           "openft_request", "received_request", "received_response"]
 
 _CRLF = "\r\n"
+#: distinct heads each round-trip memo remembers.  A 1.5-day Limewire
+#: world sends ~265 distinct request heads and ~550 distinct response
+#: heads in ~20,000 downloads, so every distinct head fits and 97-99%
+#: of the round trips are answered from the memo
+HEAD_MEMO_SIZE = 1024
 
 
 class HttpError(ValueError):
@@ -151,3 +157,27 @@ def openft_request(md5: str, user_agent: str = "giFT/0.11.8",
     """giFT's download-by-hash request."""
     return HttpRequest(method="GET", target=f"/?md5={md5}",
                        headers={"User-Agent": user_agent})
+
+
+@functools.lru_cache(maxsize=HEAD_MEMO_SIZE)
+def received_request(request_for: Callable[[str], HttpRequest],
+                     key: str) -> HttpRequest:
+    """The request a server parses when a client sends
+    ``request_for(key)`` (say ``openft_request(md5)``).
+
+    The head is encoded and decoded through the codec once per distinct
+    (request function, content key) pair -- the function fixes the user
+    agent -- and the parsed request is shared afterwards, so no caller
+    may mutate its ``headers``.
+    """
+    return HttpRequest.decode(request_for(key).encode())
+
+
+@functools.lru_cache(maxsize=HEAD_MEMO_SIZE)
+def received_response(head: bytes) -> HttpResponse:
+    """``HttpResponse.decode(head)``, parsed once per distinct head.
+
+    The parsed response is shared, so no caller may mutate its
+    ``headers``.  A malformed head raises on every call.
+    """
+    return HttpResponse.decode(head)

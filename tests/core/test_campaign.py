@@ -107,3 +107,14 @@ class TestOpenFTCampaign:
             node = network.node_by_host(record.responder_host)
             assert node is not None
             assert world.ground_truth.get(node.endpoint_id)
+
+    def test_dedup_keys_hold_the_stores_strings(self, openft_campaign):
+        # the collector's dedup set keeps no string the store does not
+        # already hold: its tuples reuse the records' shared copies
+        crawler = openft_campaign.world.network.nodes["crawler"]
+        collector = crawler.on_search_result.__self__
+        shared = openft_campaign.store._strings
+        assert len(collector._seen) == len(openft_campaign.store)
+        for _, host, md5, filename in collector._seen:
+            for value in (host, md5, filename):
+                assert value is shared[value]

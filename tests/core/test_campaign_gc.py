@@ -12,8 +12,8 @@ import weakref
 import pytest
 
 from repro.core.measure import campaign
-from repro.core.measure.campaign import (RUN_GC_THRESHOLD0, CampaignConfig,
-                                         default_profile)
+from repro.core.measure.campaign import (RUN_GC_THRESHOLD0, RUN_MEMOS,
+                                         CampaignConfig, default_profile)
 
 #: a tiny campaign: a tenth of the population for a few virtual minutes
 CONFIG = CampaignConfig(seed=3, duration_days=0.01)
@@ -49,6 +49,23 @@ def test_state_restored_after_a_campaign(network, caller_threshold):
 
 
 @pytest.mark.parametrize("network", sorted(RUNNERS))
+def test_run_memos_are_emptied_after_a_campaign(network, monkeypatch):
+    seen = {}
+    run = campaign._run
+
+    def spying_run(*args, **kwargs):
+        run(*args, **kwargs)
+        seen.update((memo.__qualname__, memo.cache_info().currsize)
+                    for memo in RUN_MEMOS)
+
+    monkeypatch.setattr(campaign, "_run", spying_run)
+    _run(network)
+    # the run filled the memos of its network; none outlives the world
+    assert seen["tokenize"] > 0
+    assert all(memo.cache_info().currsize == 0 for memo in RUN_MEMOS)
+
+
+@pytest.mark.parametrize("network", sorted(RUNNERS))
 def test_state_restored_when_the_run_raises(network, caller_threshold,
                                             monkeypatch):
     seen = {}
@@ -67,6 +84,7 @@ def test_state_restored_when_the_run_raises(network, caller_threshold,
                                  *caller_threshold[1:])
     assert gc.get_freeze_count() == 0
     assert gc.get_threshold() == caller_threshold
+    assert all(memo.cache_info().currsize == 0 for memo in RUN_MEMOS)
 
 
 @pytest.mark.parametrize("network", sorted(RUNNERS))

@@ -2,7 +2,7 @@
 and the store's encoding and selections match their plain definitions."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +84,39 @@ def test_json_roundtrip_lossless(record):
 @given(records())
 @settings(max_examples=300, deadline=None)
 def test_to_json_matches_asdict_encoding(record):
+    assert record.to_json() == asdict_json(record)
+
+
+class _Str(str):
+    """A str subclass, which ``json_value`` hands to ``json.dumps``."""
+
+
+#: exact scalars, off their declared field types included (ints and
+#: floats in bool fields, bools and floats in int fields, ints in float
+#: fields), and a subclass
+_odd_scalar = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     0.0, 1e16, -1e16, 1e-300, 5e-324, 1.5]),
+    st.floats(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="\x00\x1f\x7f\u2028\u2029\"\\/é€😀a",
+            max_size=8),
+    st.text(max_size=12),
+    st.text(max_size=8).map(_Str))
+
+
+@given(records(), st.dictionaries(
+    st.sampled_from([field.name for field in fields(ResponseRecord)]),
+    _odd_scalar, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_to_json_spells_every_value_as_json_dumps(record, overrides):
+    """NaN, infinities, -0.0, 1e16, control characters, U+2028, None and
+    values off their declared type all come out as ``json.dumps`` of
+    ``asdict`` writes them."""
+    for name, value in overrides.items():
+        setattr(record, name, value)
     assert record.to_json() == asdict_json(record)
 
 

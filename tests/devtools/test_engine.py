@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.detlint import (BaselineError, lint_repo, load_baseline,
-                                    load_config)
+from repro.cli import main
+from repro.devtools.detlint import (BaselineError, ConfigError, engine,
+                                    lint_repo, load_baseline, load_config)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PYPROJECT = """
 [tool.detlint]
@@ -54,6 +57,28 @@ class TestConfig:
             "[tool.detlint]\ndeferred_imports = ['nonsense']\n")
         with pytest.raises(ValueError, match="src -> dst"):
             load_config(tmp_path)
+
+    def test_no_pyproject_gives_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "tomllib", None)
+        config = load_config(tmp_path)
+        assert config.package == "repro"
+        assert config.baseline is None
+
+    def test_pyproject_without_a_toml_reader_is_refused(self, monkeypatch,
+                                                        capsys):
+        # Python 3.10 has no tomllib: linting with the defaults there
+        # would drop the baseline, the layer DAG and the excludes
+        monkeypatch.setattr(engine, "tomllib", None)
+        with pytest.raises(ConfigError, match="tomllib") as refused:
+            load_config(REPO_ROOT)
+        assert str(REPO_ROOT / "pyproject.toml") in str(refused.value)
+        for argv in (["lint", "--root", str(REPO_ROOT)],
+                     ["lint", "--root", str(REPO_ROOT), "--changed-only"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot read ")
+            assert "tomllib" in captured.err
+            assert "detlint:" not in captured.out
 
 
 class TestBaselinePolicy:

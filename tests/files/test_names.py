@@ -1,12 +1,14 @@
 """Tests for naming and tokenization."""
 
+import re
 import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.files.names import (POPULAR_QUERIES, WORD_POOLS, NameGenerator,
-                               normalize, tokenize)
+from repro.files.names import (POPULAR_QUERIES, TOKENIZE_MEMO_SIZE,
+                               WORD_POOLS, NameGenerator, normalize,
+                               tokenize)
 from repro.files.types import FileType
 from repro.simnet.rng import SeededStream
 
@@ -40,6 +42,24 @@ class TestTokenize:
     def test_total_function(self, text):
         tokens = tokenize(text)
         assert all(token == token.lower() for token in tokens)
+
+    @given(st.one_of(st.text(max_size=80),
+                     st.lists(st.sampled_from(WORD_POOLS["generic"]),
+                              max_size=4).map("_".join)))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_returns_the_plain_token_set(self, text):
+        tokens = tokenize(text)
+        assert tokens == frozenset(
+            map(sys.intern, re.findall("[a-z0-9]+", text.lower())))
+        # an equal name is answered from the memo: the very same set
+        assert tokenize(text) is tokens
+
+    def test_memo_is_bounded(self):
+        for index in range(TOKENIZE_MEMO_SIZE + 64):
+            tokenize(f"bound probe {index}")
+        info = tokenize.cache_info()
+        assert info.maxsize == TOKENIZE_MEMO_SIZE
+        assert info.currsize == TOKENIZE_MEMO_SIZE
 
 
 class TestNormalize:

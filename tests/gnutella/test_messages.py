@@ -72,6 +72,24 @@ class TestQuery:
         with pytest.raises(MessageError):
             Query.decode(b"\x00")
 
+    @given(st.one_of(
+        st.binary(max_size=40),
+        st.builds(Query, min_speed_kbps=st.integers(0, 65535),
+                  criteria=st.text(max_size=30),
+                  extensions=st.text(max_size=10)).map(Query.encode)))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_equals_a_fresh_decode(self, payload):
+        try:
+            fresh = Query.decode.__wrapped__(payload)
+        except MessageError:
+            for _ in range(2):  # the memo keeps no exception
+                with pytest.raises(MessageError):
+                    Query.decode(payload)
+            return
+        decoded = Query.decode(payload)
+        assert decoded == fresh
+        assert Query.decode(bytes(bytearray(payload))) is decoded
+
 
 class TestQueryHit:
     def make_hit(self, push=False, busy=False, results=None):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.gnutella.network as network_module
 from repro.gnutella.guid import new_guid
+from repro.gnutella.messages import MessageError
 from repro.gnutella.network import GnutellaNetwork
 from repro.gnutella.servent import GnutellaServent
 from repro.simnet.addresses import AddressAllocator
@@ -59,6 +61,27 @@ class TestFetch:
         assert world.network.fetch(clean.servent_guid,
                                    body.sha1_urn()) is None
 
+    @pytest.mark.parametrize("status", [200, 404, 503])
+    def test_memoized_heads_fetch_what_the_codec_fetches(self, world,
+                                                         monkeypatch,
+                                                         status):
+        leaf = world.leaves[4]
+        shared = next(iter(leaf.library))
+        urn = shared.sha1_urn if status != 404 else "urn:sha1:DOESNOTEXIST"
+        monkeypatch.setattr(world.network, "BUSY_PROBABILITY",
+                            1.0 if status == 503 else 0.0)
+        memoized = [world.network.fetch(leaf.servent_guid, urn)
+                    for _ in range(2)]
+        # the unmemoized path: every head through the codec
+        monkeypatch.setattr(network_module, "received_request",
+                            network_module.received_request.__wrapped__)
+        monkeypatch.setattr(network_module, "received_response",
+                            network_module.received_response.__wrapped__)
+        plain = [world.network.fetch(leaf.servent_guid, urn)
+                 for _ in range(2)]
+        expected = shared.blob if status == 200 else None
+        assert all(blob is expected for blob in memoized + plain)
+
 
 class TestPush:
     def _hit_from_natted(self, world):
@@ -110,10 +133,10 @@ class TestPush:
         ghost = new_guid(world.sim.stream("ghost2"))
         assert not world.network.route_push("crawler", ghost)
 
-    @pytest.mark.parametrize("hops, reached", [(1, True), (7, True),
-                                               (8, True), (9, False)])
-    def test_push_walk_reaches_max_push_hops(self, sim, hops, reached):
-        # a chain of recorded push routes, requester -> ... -> responder
+    @staticmethod
+    def _chain(sim, hops):
+        """A chain of recorded push routes, requester -> ... -> responder
+        (``hops`` 0: the requester is the responder)."""
         transport = Transport(sim)
         allocator = AddressAllocator(sim.stream("addr"))
         chain = [GnutellaServent(sim, transport, f"hop{index}",
@@ -123,9 +146,34 @@ class TestPush:
         for here, there in zip(chain, chain[1:]):
             here._remember_push_route(responder.servent_guid,
                                       there.endpoint_id)
-        network = GnutellaNetwork(sim, transport, [], chain)
+        return GnutellaNetwork(sim, transport, [], chain), responder
+
+    @pytest.mark.parametrize("hops, reached", [(0, True), (1, True),
+                                               (7, True), (8, True),
+                                               (9, False)])
+    def test_push_walk_reaches_max_push_hops(self, sim, monkeypatch, hops,
+                                             reached):
+        network, responder = self._chain(sim, hops)
         assert network.MAX_PUSH_HOPS == 8
+        frames = []
+        frame = network_module.frame
+        monkeypatch.setattr(network_module, "frame",
+                            lambda *args, **kwargs: frames.append(args)
+                            or frame(*args, **kwargs))
         assert network.route_push("hop0", responder.servent_guid) is reached
+        # every hop forwards the same bytes: one round trip per walk
+        assert len(frames) == min(hops, 1)
+
+    @pytest.mark.parametrize("hops", [1, 8, 9])
+    def test_push_codec_error_fails_the_walk(self, sim, monkeypatch, hops):
+        network, responder = self._chain(sim, hops)
+
+        def broken(header, payload):
+            raise MessageError("push decode refused")
+
+        monkeypatch.setattr(network_module, "decode_payload", broken)
+        with pytest.raises(MessageError):
+            network.route_push("hop0", responder.servent_guid)
 
 
 class TestCrawler:

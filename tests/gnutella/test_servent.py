@@ -1,7 +1,9 @@
 """Behavioural tests for the Gnutella servent."""
 
-from repro.gnutella.guid import guid_hex
-from repro.gnutella.messages import Ping, Pong, frame, parse_frame
+from repro.gnutella.constants import DESCRIPTOR_QUERY
+from repro.gnutella.guid import guid_hex, new_guid
+from repro.gnutella.messages import Header, Ping, Pong, frame, parse_frame
+from repro.simnet.transport import Envelope
 
 
 class TestQueryFlow:
@@ -117,3 +119,17 @@ class TestRoles:
                              b"garbage-bytes")
         world.sim.run_until(world.sim.now + 10.0)
         assert up.stats.decode_errors == 1
+
+    def test_malformed_query_counts_every_delivery(self, world):
+        # Query.decode is memoized per payload, but keeps no exception:
+        # the same unterminated criteria fails both deliveries
+        up = world.ultrapeers[0]
+        payload = b"\x00\x00no-nul-here"
+        raw = Header(new_guid(world.sim.stream("bad-query")),
+                     DESCRIPTOR_QUERY, ttl=3, hops=0,
+                     payload_length=len(payload)).encode() + payload
+        for _ in range(2):
+            up._on_envelope(Envelope(world.crawler.endpoint_id,
+                                     up.endpoint_id, raw, world.sim.now))
+        assert up.stats.decode_errors == 2
+        assert up.stats.queries_seen == 0

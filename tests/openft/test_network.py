@@ -1,5 +1,9 @@
 """Tests for the OpenFT network facade."""
 
+import pytest
+
+import repro.openft.network as network_module
+
 
 class TestLookup:
     def test_node_by_host(self, ft_world):
@@ -57,6 +61,26 @@ class TestFetch:
         body = strain_body_blob(ft_world.strains[0])
         assert ft_world.network.fetch(clean.address.advertised,
                                       body.md5_hex()) is None
+
+    @pytest.mark.parametrize("status", [200, 404, 503])
+    def test_memoized_heads_fetch_what_the_codec_fetches(self, ft_world,
+                                                         monkeypatch,
+                                                         status):
+        user = ft_world.users[2]
+        shared = next(iter(user.library))
+        md5 = shared.blob.md5_hex() if status != 404 else "f" * 32
+        monkeypatch.setattr(ft_world.network, "BUSY_PROBABILITY",
+                            1.0 if status == 503 else 0.0)
+        host = user.address.advertised
+        memoized = [ft_world.network.fetch(host, md5) for _ in range(2)]
+        # the unmemoized path: every head through the codec
+        monkeypatch.setattr(network_module, "received_request",
+                            network_module.received_request.__wrapped__)
+        monkeypatch.setattr(network_module, "received_response",
+                            network_module.received_response.__wrapped__)
+        plain = [ft_world.network.fetch(host, md5) for _ in range(2)]
+        expected = shared.blob if status == 200 else None
+        assert all(blob is expected for blob in memoized + plain)
 
 
 class TestPushRelay:

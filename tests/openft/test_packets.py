@@ -137,3 +137,31 @@ def test_search_response_roundtrip_property(filename, size):
                             http_port=1216, availability=1, size=size,
                             md5=MD5, filename=filename)
     assert roundtrip(packet) == packet
+
+
+#: well-formed AddShare payloads (any size, md5 and NUL-free name) and
+#: arbitrary bytes, which are mostly malformed
+_addshare_payloads = st.one_of(
+    st.binary(max_size=48),
+    st.builds(AddShare,
+              size=st.integers(min_value=0, max_value=0xFFFFFFFF),
+              md5=st.binary(min_size=16, max_size=16).map(bytes.hex),
+              filename=st.text(max_size=30).filter(
+                  lambda name: "\x00" not in name)).map(AddShare.encode))
+
+
+class TestAddShareMemo:
+    @given(_addshare_payloads)
+    @settings(max_examples=200, deadline=None)
+    def test_memo_equals_a_fresh_decode(self, payload):
+        try:
+            fresh = AddShare.decode.__wrapped__(payload)
+        except PacketError:
+            for _ in range(2):  # the memo keeps no exception
+                with pytest.raises(PacketError):
+                    AddShare.decode(payload)
+            return
+        decoded = AddShare.decode(payload)
+        assert decoded == fresh
+        assert AddShare.decode(bytes(bytearray(payload))) is decoded
+        assert decode_packet(encode_packet(fresh)) == fresh

@@ -141,6 +141,16 @@ def _deliver(parent: OpenFTNode, src: str, packet) -> None:
 def _assert_index(parent: OpenFTNode, model: _Model) -> None:
     assert parent._records == model.records
     assert parent._token_index == model.token_index()
+    # every key is filed under its child with the tokens it was indexed
+    # under, which drops and removals unindex without tokenizing again
+    filed = {key: tokens for keys in parent._child_keys.values()
+             for key, tokens in keys.items()}
+    assert filed == {key: tokenize(key[2]) for key in parent._records}
+    rebuilt = {}
+    for key in parent._records:
+        for token in filed[key]:
+            rebuilt.setdefault(token, set()).add(key)
+    assert parent._token_index == rebuilt
 
 
 def _stats(parent: OpenFTNode) -> StatsResponse:
@@ -227,18 +237,20 @@ def test_remshare_and_drop_clear_every_name_of_a_child():
 
 def test_malformed_addshare_counts_a_decode_error():
     """Well framed, but the payload is short or its filename has no
-    terminator: counted as :func:`decode_packet` would, nothing indexed."""
+    terminator: counted as :func:`decode_packet` would, nothing indexed.
+    Each arrives twice: the decode memo keeps no exception, so every
+    delivery fails and counts."""
     _, parent, _ = _world()
     _deliver(parent, "c0", ChildRequest())
     unterminated = encode_packet(
         AddShare(size=1, md5=MD5S[0], filename="a.mp3"))[4:-1]
-    for payload in (b"\x00" * 10, unterminated):
+    for payload in (b"\x00" * 10, unterminated) * 2:
         raw = struct.pack(">HH", len(payload), FT_ADDSHARE_REQUEST) + payload
         with pytest.raises(PacketError):
             decode_packet(raw)
         parent._on_envelope(Envelope(src="c0", dst="parent", payload=raw,
                                      sent_at=0.0))
-    assert parent.stats.decode_errors == 2
+    assert parent.stats.decode_errors == 4
     assert parent._records == {}
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.files.payload import Blob
-from repro.transfer.http import (HttpError, HttpRequest, HttpResponse,
-                                 gnutella_index_request,
-                                 gnutella_urn_request, openft_request)
+from repro.transfer.http import (HEAD_MEMO_SIZE, HttpError, HttpRequest,
+                                 HttpResponse, gnutella_index_request,
+                                 gnutella_urn_request, openft_request,
+                                 received_request, received_response)
 from repro.transfer.server import busy, not_found, parse_target, serve_request
 
 BLOB = Blob(content_key="t", extension="exe", size=58_368)
@@ -124,3 +125,51 @@ class TestServeRequest:
     def test_helpers(self):
         assert not_found().status == 404
         assert busy(30).header("Retry-After") == "30"
+
+
+class TestHeadMemos:
+    @pytest.mark.parametrize("request_for, key", [
+        (gnutella_urn_request, BLOB.sha1_urn()),
+        (openft_request, BLOB.md5_hex())])
+    def test_request_is_the_codec_round_trip(self, request_for, key):
+        request = received_request(request_for, key)
+        assert request == HttpRequest.decode(request_for(key).encode())
+        assert received_request(request_for, key) is request
+
+    def test_request_functions_do_not_share_entries(self):
+        key = BLOB.md5_hex()
+        assert (received_request(gnutella_urn_request, key).target
+                != received_request(openft_request, key).target)
+
+    @pytest.mark.parametrize("head", [
+        busy(), not_found(),
+        HttpResponse(status=200, reason="OK",
+                     headers={"Content-Length": str(BLOB.size)})])
+    def test_response_is_the_decode(self, head):
+        raw = head.encode()
+        response = received_response(raw)
+        assert response == HttpResponse.decode(raw) == head
+        assert received_response(bytes(bytearray(raw))) is response
+
+    def test_malformed_response_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(HttpError):
+                received_response(b"HTTP/1.1 abc Broken\r\n\r\n")
+
+    def test_memos_are_bounded(self):
+        for memo in (received_request, received_response):
+            assert memo.cache_info().maxsize == HEAD_MEMO_SIZE
+
+    @pytest.mark.parametrize("resolved, is_busy, status", [
+        (BLOB, False, 200), (None, False, 404), (BLOB, True, 503)])
+    def test_serving_leaves_a_shared_request_alone(self, resolved, is_busy,
+                                                   status):
+        request = received_request(gnutella_urn_request, BLOB.sha1_urn())
+        before = dict(request.headers)
+        response, _ = serve_request(request, resolve=lambda key: resolved,
+                                    is_busy=is_busy)
+        assert response.status == status
+        assert request.headers == before
+        assert received_request(gnutella_urn_request,
+                                BLOB.sha1_urn()) == HttpRequest.decode(
+            gnutella_urn_request(BLOB.sha1_urn()).encode())
