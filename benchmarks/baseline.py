@@ -41,11 +41,6 @@ Usage::
     PYTHONPATH=src python benchmarks/baseline.py [--quick] [--out DIR]
                                                  [--workers W] [--rev R]
                                                  [--assert-overhead PCT]
-
-Every leg runs with the determinism sanitizer OFF (there is no flag to
-turn it on here, deliberately): ``DeterminismSanitizer`` patches module
-attributes on hot paths, so a sanitized leg would time the tripwires
-rather than the simulator.
 """
 
 from __future__ import annotations

@@ -17,12 +17,6 @@ Usage::
 
     python scripts/bench_compare.py BENCH_old.json BENCH_new.json
     python scripts/bench_compare.py            # two newest in benchmarks/
-
-Both legs must be produced with the determinism sanitizer OFF (the
-default).  ``DeterminismSanitizer`` swaps module attributes on hot
-paths (``random.*``, ``time.time``), so a sanitized leg measures the
-tripwires, not the simulator — never pass ``sanitize=True`` /
-``--sanitize`` when timing.
 """
 
 from __future__ import annotations

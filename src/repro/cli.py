@@ -10,7 +10,6 @@ The subcommands mirror the study's workflow::
     repro-study analyze   data/limewire.jsonl --table all
     repro-study filter-eval data/limewire.jsonl
     repro-study lint      --strict
-    repro-study selfcheck --seeds 2
     repro-study doctor    checkpoints/ --repair
 
 ``run`` simulates the campaigns and writes raw measurement stores as
@@ -29,13 +28,12 @@ a campaign, run the stdlib profiler over ``run``::
 
     python -m cProfile -s cumulative -m repro.cli run --network limewire
 
-The last three are the correctness tooling: ``lint`` runs detlint (the
-determinism & layering static-analysis pass) over ``src/``,
-``selfcheck`` proves at runtime that same-seed campaigns replay to
-identical event-stream digests with the entropy sanitizer armed, and
+The last two are the correctness tooling: ``lint`` runs detlint (the
+determinism & layering static-analysis pass) over ``src/``, and
 ``doctor`` verifies (and with ``--repair`` fixes) on-disk artifacts
 after a crash -- reporting exactly what a checkpoint resume would
-recover.
+recover.  That same seed gives the same bits is checked by tests that
+compare bits: the committed golden digests and the replay tests.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON-lines store written by 'run'")
     analyze.add_argument("--table", choices=_TABLES + ("all",),
                          default="all")
-    analyze.add_argument("--days", type=float, default=1.0,
+    analyze.add_argument("--days", type=_positive_float, default=1.0,
                          help="campaign length for T1 (informational)")
 
     replicate = subparsers.add_parser(
@@ -146,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="instrument every replication and write "
                                 "per-seed journals/spans/metrics plus the "
                                 "merged Prometheus textfile here")
-    replicate.add_argument("--sanitize", action="store_true",
-                           help="arm the runtime determinism sanitizer in "
-                                "every replication (forbidden entropy "
-                                "sources abort the run)")
     replicate.add_argument("--checkpoint", type=Path, default=None,
                            help="JSONL journal of completed seeds; an "
                                 "interrupted campaign rerun with the same "
@@ -218,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="population scale factor")
     chaos.add_argument("--workers", type=int, default=1,
                        help="campaign processes per replication cell")
-    chaos.add_argument("--sanitize", action="store_true",
-                       help="arm the determinism sanitizer inside every "
-                            "faulted campaign")
     chaos.add_argument("--quick", action="store_true",
                        help="CI smoke preset: one seed, 0.1 days, scale "
                             "0.35, severities off+moderate")
@@ -249,32 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bypass the .detlint-cache/ result cache "
                            "(the cache never changes output, only "
                            "speed)")
-
-    selfcheck = subparsers.add_parser(
-        "selfcheck",
-        help="prove determinism at runtime: same-seed campaigns must "
-             "produce identical event-stream digests under the armed "
-             "entropy sanitizer")
-    selfcheck.add_argument("--network", choices=("limewire", "openft"),
-                           default="limewire")
-    selfcheck.add_argument("--seeds", type=int, default=2,
-                           help="number of seeds to twin-run")
-    selfcheck.add_argument("--base-seed", type=int, default=1)
-    selfcheck.add_argument("--days", type=_positive_float, default=0.1,
-                           help="virtual days per campaign (small: the "
-                                "check runs 2 campaigns per seed)")
-    selfcheck.add_argument("--scale", type=_positive_float, default=0.35,
-                           help="population scale factor for the check "
-                                "worlds")
-    selfcheck.add_argument("--no-sanitize", action="store_true",
-                           help="compare digests without arming the "
-                                "entropy sanitizer")
-    selfcheck.add_argument("--lock-order", action="store_true",
-                           help="instead of the digest check, record "
-                                "every lock acquisition while a "
-                                "telemetry server is scraped during a "
-                                "tiny campaign and fail on lock-order "
-                                "cycles")
 
     filter_eval = subparsers.add_parser(
         "filter-eval",
@@ -377,7 +342,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     report = run_replications(args.network, seeds, config,
                               workers=workers,
                               telemetry_dir=args.telemetry_dir,
-                              sanitize=args.sanitize,
                               checkpoint=args.checkpoint,
                               journal_interval_s=args.journal_interval,
                               serve_port=args.serve_port,
@@ -420,8 +384,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"scale {scale:g}...")
     report = run_fault_envelope(networks=networks, severities=severities,
                                 seeds=seeds, duration_days=duration_days,
-                                scale=scale, workers=args.workers,
-                                sanitize=args.sanitize)
+                                scale=scale, workers=args.workers)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -511,32 +474,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     if not report.damaged:
         return 0
     return 0 if args.repair and report.ok else 1
-
-
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .devtools.selfcheck import run_selfcheck
-
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.lock_order:
-        from .devtools.selfcheck import run_lock_order_check
-
-        report = run_lock_order_check(network=args.network,
-                                      seed=args.base_seed,
-                                      days=min(args.days, 0.05),
-                                      scale=args.scale)
-        print(report.render())
-        return 0 if report.ok else 1
-    seeds = tuple(range(args.base_seed, args.base_seed + args.seeds))
-    print(f"selfcheck: {args.network}, seeds {list(seeds)}, "
-          f"{args.days:g} virtual days per run, sanitizer "
-          f"{'off' if args.no_sanitize else 'armed'}...")
-    report = run_selfcheck(network=args.network, seeds=seeds,
-                           days=args.days, scale=args.scale,
-                           sanitize=not args.no_sanitize)
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def _render(store: MeasurementStore, table: str, days: float) -> str:
@@ -650,8 +587,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"run": _cmd_run, "analyze": _cmd_analyze,
                 "replicate": _cmd_replicate, "chaos": _cmd_chaos,
                 "filter-eval": _cmd_filter_eval, "export": _cmd_export,
-                "lint": _cmd_lint, "selfcheck": _cmd_selfcheck,
-                "doctor": _cmd_doctor}
+                "lint": _cmd_lint, "doctor": _cmd_doctor}
     return handlers[args.command](args)
 
 

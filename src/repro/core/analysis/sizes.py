@@ -48,6 +48,8 @@ def size_dictionary(store: MeasurementStore, top_n: int = 3,
     This is T6, and its union of ``common_sizes`` is the block list the
     size-based filter uses.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n!r}")
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must be in (0, 1], got {coverage!r}")
     per_strain: Dict[str, Counter] = defaultdict(Counter)

@@ -160,8 +160,7 @@ def run_fault_envelope(networks: Sequence[str] = ("limewire", "openft"),
                        seeds: Sequence[int] = (1, 2, 3),
                        duration_days: float = 0.25,
                        scale: float = 0.5,
-                       workers: Optional[int] = 1,
-                       sanitize: bool = False) -> ChaosReport:
+                       workers: Optional[int] = 1) -> ChaosReport:
     """Sweep the graded fault envelopes and check the claim bands.
 
     Every (severity, network) cell is a full multi-seed replication
@@ -185,7 +184,7 @@ def run_fault_envelope(networks: Sequence[str] = ("limewire", "openft"),
         for network in networks:
             reports[network] = run_replications(
                 network, list(seeds), config, profiles[network],
-                workers=workers, sanitize=sanitize)
+                workers=workers)
         results.append(SeverityResult(
             severity=severity, reports=reports,
             violations=tuple(_check_bands(severity, reports))))

@@ -123,7 +123,7 @@ class ReplicationReport:
 
 def replicate_one(network: str, config: CampaignConfig, profile,
                   seed: int, telemetry_dir: Optional[Path] = None,
-                  sanitize: bool = False, attempt: int = 0,
+                  attempt: int = 0,
                   journal_interval_s: Optional[float] = None):
     """Run one seed's campaign and return its headline metric values.
 
@@ -137,12 +137,6 @@ def replicate_one(network: str, config: CampaignConfig, profile,
     ``<network>_seed<seed>_*``), and the return value becomes a
     ``(metrics, registry_snapshot)`` pair so the parent process can
     merge every worker's registry.
-
-    With ``sanitize`` the campaign runs inside the determinism
-    sanitizer: any bare ``random.*`` / wall-clock / ambient-entropy
-    call aborts the replication instead of silently skewing it.  The
-    sanitizer patches process-global entry points, so keep it off in
-    benchmark legs.
     """
     if network not in HEADLINE_METRICS:
         raise ValueError(f"unknown network {network!r}")
@@ -156,17 +150,8 @@ def replicate_one(network: str, config: CampaignConfig, profile,
         telemetry = CampaignTelemetry.for_directory(
             Path(telemetry_dir), f"{network}_seed{seed}",
             journal_interval_s=journal_interval_s)
-    if sanitize:
-        # deferred on purpose: devtools sits above core in the layer
-        # DAG, and only this opt-in path reaches up into it (declared
-        # in [tool.detlint] deferred_imports)
-        from ..devtools.sanitizer import DeterminismSanitizer
-        with DeterminismSanitizer(mode="raise"):
-            result = runner(replace(config, seed=seed), profile=profile,
-                            telemetry=telemetry)
-    else:
-        result = runner(replace(config, seed=seed), profile=profile,
-                        telemetry=telemetry)
+    result = runner(replace(config, seed=seed), profile=profile,
+                    telemetry=telemetry)
     metrics = {name: metric(result)
                for name, metric in HEADLINE_METRICS[network].items()}
     if telemetry is None:
@@ -192,7 +177,6 @@ class _SeedOutcome:
 
 def _guarded_replicate(network: str, config: CampaignConfig, profile,
                        seed_attempt, telemetry_dir=None,
-                       sanitize: bool = False,
                        journal_interval_s: Optional[float] = None,
                        ) -> _SeedOutcome:
     """Run one seed, converting any crash into a reportable outcome.
@@ -206,7 +190,7 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
     try:
         result = replicate_one(network, config, profile, seed,
                                telemetry_dir=telemetry_dir,
-                               sanitize=sanitize, attempt=attempt,
+                               attempt=attempt,
                                journal_interval_s=journal_interval_s)
     except Exception:
         return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
@@ -342,7 +326,6 @@ def run_replications(network: str, seeds: Sequence[int],
                      config: CampaignConfig, profile=None,
                      workers: Optional[int] = 1,
                      telemetry_dir: Optional[Path] = None,
-                     sanitize: bool = False,
                      checkpoint: Optional[Path] = None,
                      journal_interval_s: Optional[float] = None,
                      serve_port: Optional[int] = None,
@@ -363,11 +346,6 @@ def run_replications(network: str, seeds: Sequence[int],
     seed order, so deterministically) into ``report.registry``, and the
     merged Prometheus textfile is written as
     ``<network>_merged_metrics.prom``.
-
-    ``sanitize`` arms the runtime determinism sanitizer inside every
-    replication (see :mod:`repro.devtools.sanitizer`): an opt-in
-    correctness mode that turns any forbidden entropy use into a hard
-    failure.  Off by default -- it patches hot global entry points.
 
     The run self-heals: a seed whose worker crashes is retried once,
     and a seed that fails its retry too is quarantined -- the report
@@ -451,7 +429,6 @@ def run_replications(network: str, seeds: Sequence[int],
 
     worker = functools.partial(_guarded_replicate, network, config, profile,
                                telemetry_dir=telemetry_dir,
-                               sanitize=sanitize,
                                journal_interval_s=journal_interval_s)
 
     if supervision is not None:

@@ -6,30 +6,20 @@ infrastructure* trustworthy rather than to produce measurements:
 * :mod:`repro.devtools.detlint` -- an AST-based static-analysis pass
   (``repro-study lint``) that turns determinism hazards (bare
   ``random.*``, wall-clock reads, unordered ``set`` iteration feeding
-  the scheduler, ``hash()``-of-str ordering, ambient entropy) and
-  layering violations into CI failures;
-* :mod:`repro.devtools.sanitizer` -- a runtime twin of the linter: a
-  context manager that patches forbidden entropy sources to raise (or
-  record) during a campaign, and an event-stream digest that reduces a
-  whole run to one comparable hash;
-* :mod:`repro.devtools.selfcheck` -- the ``repro-study selfcheck``
-  driver proving same-seed runs replay bit-identically with the
-  sanitizer armed.
+  the scheduler or a transport send, ``hash()``-of-str ordering,
+  ambient entropy) and layering violations into CI failures;
+* :mod:`repro.devtools.digest` -- the event-stream digest that reduces
+  a whole run to one hash, which the golden fixtures pin and the
+  replay tests compare;
+* :mod:`repro.devtools.lockorder` -- the runtime lock-order recorder
+  the tier-1 lock-order test arms over a live, scraped campaign.
 
-This package is *dev tooling*, not simulation code: it deliberately
-names and patches the very entropy sources the linter bans, so it is
-excluded from the lint walk (see ``[tool.detlint] exclude`` in
-``pyproject.toml``).  Nothing below ``core`` may import it at module
-level; ``core`` may defer-import the sanitizer for the opt-in
-``run_replications(sanitize=True)`` path (a declared deferred edge).
+This package is *dev tooling*, not simulation code: the linter spells
+out the very entropy sources its rules ban, so it is excluded from the
+lint walk (see ``[tool.detlint] exclude`` in ``pyproject.toml``).
+Nothing below the CLI may import it.
 """
 
 from .detlint import Finding, LintResult, lint_repo
-from .sanitizer import (DeterminismSanitizer, EntropyViolation, EventDigest,
-                        digest_telemetry)
 
-__all__ = [
-    "Finding", "LintResult", "lint_repo",
-    "DeterminismSanitizer", "EntropyViolation", "EventDigest",
-    "digest_telemetry",
-]
+__all__ = ["Finding", "LintResult", "lint_repo"]

@@ -26,7 +26,7 @@ statically, per module:
     Every ``with <lock>`` nested inside another contributes an edge to
     the static acquisition graph; a cycle means two call paths can
     deadlock.  The runtime twin of this check is
-    ``repro.devtools.sanitizer.LockOrderRecorder``.
+    ``repro.devtools.lockorder.LockOrderRecorder``.
 
 ``CONC003`` blocking call inside a kernel callback
     Functions scheduled via ``.at/.after/.every/.push/.schedule`` run
@@ -352,8 +352,13 @@ class _ModuleIndex:
         return reached
 
     def callback_reachable(self) -> Set[str]:
-        """Qualnames reachable from kernel-callback entry points."""
+        """Qualnames reachable from kernel-callback entry points.
+
+        A lambda handed to the scheduler reaches whatever it calls.
+        """
         reachable_names = set(self.callback_names)
+        for _, callback in self.callback_lambdas:
+            reachable_names |= self._called_names(callback)
         reached: Set[str] = set()
         changed = True
         while changed:

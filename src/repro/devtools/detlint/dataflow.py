@@ -19,7 +19,8 @@ same module:
 * **propagation** -- assignments, augmented assignment, tuple
   unpacking, arithmetic, f-strings, conditional expressions, container
   literals, attribute stores on ``self``, and mutating calls
-  (``.append(tainted)`` taints the receiver).  ``sorted()`` / ``min`` /
+  (``.append(tainted)`` taints the receiver).  A list comprehension or
+  generator over a set carries the set's order.  ``sorted()`` / ``min`` /
   ``max`` / ``len`` cleanse *order* taint (the result no longer depends
   on hash order); nothing cleanses entropy.
 * **summaries** -- pass one computes, for every function and method in
@@ -29,9 +30,10 @@ same module:
   ``sim.after(jitter(), cb)`` and ``sched_helper(time.time())`` both
   fire at the call site.
 * **sinks** -- scheduling calls (``.at/.after/.every/.push/
-  .schedule``), RNG seeding (``seed``/``derive_seed``/``Random(x)``),
-  RNG draw arguments, and message-field constructors (a capitalized
-  callable that is not an exception type).
+  .schedule``), transport sends (``.send/.send_many``), RNG seeding
+  (``seed``/``derive_seed``/``Random(x)``), RNG draw arguments, and
+  message-field constructors (a capitalized callable that is not an
+  exception type).
 
 Findings fire *only* when taint reaches a sink **through a variable**
 (``direct`` source-at-sink expressions stay the territory of
@@ -54,8 +56,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .findings import Finding, Module
 from .rules import (_DATETIME_FUNCS, _RANDOM_FUNCS, _RNG_METHODS,
-                    _SCHED_METHODS, _TIME_FUNCS, _import_map, _is_set_expr,
-                    _resolves)
+                    _SCHED_METHODS, _SEND_METHODS, _TIME_FUNCS, _import_map,
+                    _is_set_expr, _resolves)
 
 __all__ = ["DataflowRule", "check_dataflow"]
 
@@ -211,6 +213,11 @@ class _ScopeAnalysis:
             return self._eval(node.value)
         if isinstance(node, ast.Call):
             return self._eval_call(node)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and any(
+                _is_unordered_iterable(gen.iter, self.set_names)
+                for gen in node.generators):
+            return Taint("order", "comprehension over an unordered set",
+                         node.lineno)
         return None
 
     def _first_taint(self, nodes: Sequence[ast.AST]) -> Optional[Taint]:
@@ -268,6 +275,8 @@ class _ScopeAnalysis:
         name = _terminal_name(node.func)
         if name is None:
             return None
+        if name in _SEND_METHODS:  # a method call or a local alias
+            return f"transport send {name}()"
         if isinstance(node.func, ast.Attribute):
             if name in _SCHED_METHODS:
                 return f"scheduling call .{name}()"

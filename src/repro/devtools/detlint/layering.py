@@ -16,9 +16,9 @@ Two codes:
   and make the packages inseparable.
 * ``LAY002`` -- a function-level (deferred) import crosses the DAG and
   is not declared in ``deferred_imports``.  Deferred imports are the
-  sanctioned escape hatch for opt-in dev tooling (e.g. ``core`` loads
-  the sanitizer only when ``run_replications(sanitize=True)``), but
-  every such edge must be declared or it is a violation like any other.
+  sanctioned escape hatch for opt-in dev tooling (the CLI loads the
+  linter only when ``lint`` runs), but every such edge must be
+  declared or it is a violation like any other.
 """
 
 from __future__ import annotations

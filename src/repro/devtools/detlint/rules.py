@@ -17,8 +17,8 @@ DET002 wall-clock reads (``time.time``, ``perf_counter``,
        ``datetime.now``...) -- only the telemetry sampling whitelist in
        the committed baseline may contain these
 DET003 iteration over ``set``/``frozenset`` (or ``dict.keys()`` of one)
-       without ``sorted()`` where the loop body schedules events or
-       draws randomness
+       without ``sorted()`` where the loop body schedules events,
+       sends on the transport or draws randomness
 DET004 builtin ``hash()`` of interpreter-salted values (str/bytes):
        changes with ``PYTHONHASHSEED``
 DET005 ``id()`` used as a sort key: memory-layout-dependent order
@@ -67,6 +67,10 @@ _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
 #: methods that push work into the event queue
 _SCHED_METHODS = frozenset({"at", "after", "every", "push", "schedule"})
+
+#: transport sends: each one schedules a delivery, so their order is
+#: event order
+_SEND_METHODS = frozenset({"send", "send_many"})
 
 #: draw methods of :class:`repro.simnet.rng.SeededStream` (and random.Random)
 _RNG_METHODS = frozenset({
@@ -283,13 +287,23 @@ def _is_unordered_iter(node: ast.AST, set_names: Set[str]) -> bool:
 
 
 def _has_sink_call(body: List[ast.stmt]) -> Optional[str]:
-    """Name of the first scheduling/RNG call inside ``body``, if any."""
+    """Name of the first scheduling/send/RNG call inside ``body``.
+
+    A send through a local alias (``send = self.transport.send``) is
+    recognised by its name.
+    """
     for stmt in body:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and \
+                    node.func.id in _SEND_METHODS:
+                return f"transport send {node.func.id}()"
+            if isinstance(node.func, ast.Attribute):
                 if node.func.attr in _SCHED_METHODS:
                     return f"scheduling call .{node.func.attr}()"
+                if node.func.attr in _SEND_METHODS:
+                    return f"transport send .{node.func.attr}()"
                 if node.func.attr in _RNG_METHODS:
                     return f"RNG draw .{node.func.attr}()"
     return None
@@ -323,14 +337,14 @@ def _iter_stmts_ordered(body: List[ast.stmt]) -> Iterator[ast.stmt]:
 
 
 class UnorderedIterRule:
-    """DET003: unordered set iteration feeding the scheduler or RNG.
+    """DET003: unordered set iteration feeding the scheduler, a send or RNG.
 
     ``for peer in peers_set: sim.after(...)`` executes in hash order --
     a different order (and therefore a different event interleaving or
     draw sequence) every interpreter run.  Wrapping the iterable in
     ``sorted()`` fixes it.  Single-function heuristic: the iterable
     must be recognisably set-typed and the loop body must contain a
-    scheduling or draw call.
+    scheduling, send or draw call.
     """
 
     code = "DET003"
@@ -394,7 +408,7 @@ class UnorderedIterRule:
                                 module.relpath, node.lineno, node.col_offset,
                                 self.code,
                                 "comprehension over an unordered set feeds "
-                                "a scheduling/RNG call",
+                                "a scheduling/send/RNG call",
                                 "wrap the iterable in sorted()")
 
 
@@ -402,7 +416,8 @@ def _comp_has_sink(comp: ast.AST) -> bool:
     for node in ast.walk(comp):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
-                node.func.attr in (_SCHED_METHODS | _RNG_METHODS):
+                node.func.attr in (_SCHED_METHODS | _SEND_METHODS |
+                                   _RNG_METHODS):
             return True
     return False
 

@@ -183,9 +183,9 @@ class Simulator:
             # instrumented twin of the loop above: one dict get/set per
             # event, plus a perf_counter pair around every Nth callback.
             # ``on_event`` is the optional per-event hook of the
-            # telemetry duck type (the determinism selfcheck hangs its
-            # event-stream digest here); the standard KernelTelemetry
-            # has none.
+            # telemetry duck type (the golden fixtures and replay tests
+            # hang their event-stream digest here); the standard
+            # KernelTelemetry has none.
             from time import perf_counter
 
             counts = telemetry.label_counts

@@ -121,6 +121,13 @@ class TestSizes:
         with pytest.raises(ValueError):
             size_dictionary(synthetic_store, coverage=0.0)
 
+    @pytest.mark.parametrize("top_n", [0, -2])
+    def test_top_n_validation(self, synthetic_store, top_n):
+        # a negative slice bound would learn from all but the last
+        # strains, and 0 from none
+        with pytest.raises(ValueError, match="top_n"):
+            size_dictionary(synthetic_store, top_n=top_n)
+
     def test_distinct_size_counts(self, synthetic_store):
         counts = distinct_size_counts(synthetic_store)
         assert counts == {"WormA": 1, "WormB": 2}

@@ -45,7 +45,7 @@ class TestParser:
         "run --days", "run --scale", "replicate --days",
         "replicate --deadline", "replicate --stall-timeout",
         "replicate --journal-interval", "chaos --days", "chaos --scale",
-        "selfcheck --days", "selfcheck --scale",
+        "analyze x.jsonl --days",
     ])
     def test_campaign_length_and_scale_must_be_finite_positive(
             self, command, value, capsys):
@@ -65,12 +65,6 @@ class TestParser:
         assert exited.value.code == 2
         assert "--serve-port" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
-
-    def test_analyze_days_accepts_zero(self):
-        # analyze reads a saved store; its --days only labels table T1
-        args = build_parser().parse_args(["analyze", "x.jsonl",
-                                          "--days", "0"])
-        assert args.days == 0.0
 
 
 class TestRun:
@@ -210,6 +204,12 @@ class TestFilterEval:
     def test_missing_store_errors(self, tmp_path, capsys):
         code = main(["filter-eval", str(tmp_path / "nope.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("top_n", ["0", "-2"])
+    def test_top_n_below_one_refused(self, saved_store, capsys, top_n):
+        code = main(["filter-eval", str(saved_store), f"--top-n={top_n}"])
+        assert code == 2
+        assert "error: top_n must be >= 1" in capsys.readouterr().err
 
 
 def _torn_mid_line(store, path):

@@ -1,4 +1,4 @@
-"""Helpers for the devtools (detlint / sanitizer / selfcheck) tests."""
+"""Helpers for the devtools (detlint / digest / lock-order) tests."""
 
 import ast
 from pathlib import Path

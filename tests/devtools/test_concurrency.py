@@ -183,6 +183,21 @@ class TestCONC003BlockingInCallback:
         """)
         assert "CONC003" in codes(findings)
 
+    def test_sleep_in_method_a_scheduled_lambda_calls_fires(self):
+        # the downloader's idiom: sim.after(delay, lambda: self._attempt())
+        findings = lint("""
+            import time
+
+            class Downloader:
+                def enqueue(self, delay):
+                    self.sim.after(delay, lambda: self._attempt(),
+                                   label="download")
+
+                def _attempt(self):
+                    time.sleep(0)
+        """)
+        assert "CONC003" in codes(findings)
+
     def test_argless_join_in_callback_fires(self):
         findings = lint("""
             def install(sim, worker):

@@ -113,6 +113,24 @@ class TestDET008OrderTaint:
         """)
         assert "DET008" in codes(findings)
 
+    def test_bad_comprehension_over_set_reaches_send_many(self):
+        findings = lint("""
+            def forward(self, src, frame):
+                targets = [peer for peer in set(self.peer_ids)
+                           if peer != src]
+                self.transport.send_many(self.endpoint_id, targets, frame)
+        """)
+        assert codes(findings) == ["DET008"]
+
+    def test_fixed_sorted_comprehension_is_silent(self):
+        findings = lint("""
+            def forward(self, src, frame):
+                targets = [peer for peer in sorted(set(self.peer_ids))
+                           if peer != src]
+                self.transport.send_many(self.endpoint_id, targets, frame)
+        """)
+        assert findings == []
+
     def test_in_loop_sink_stays_det003_territory(self):
         # the sink lexically inside the iterating loop is DET003's
         # finding; the dataflow pass must not double-report it

@@ -1,12 +1,20 @@
 """Event-stream digest: the one-hash reduction of a whole run."""
 
-from repro.devtools.sanitizer import DigestTelemetry, EventDigest
+from repro.devtools.digest import EventDigest
 from repro.simnet.kernel import Simulator
+from repro.telemetry.kernel import KernelTelemetry
+from repro.telemetry.registry import MetricRegistry
 
 
 def run_jittered(seed, horizon=100.0):
-    """A sim whose event stream depends on seeded draws."""
-    telemetry = DigestTelemetry()
+    """A sim whose event stream depends on seeded draws.
+
+    The digest rides a stock :class:`KernelTelemetry` through the
+    kernel's optional per-event ``on_event`` hook, as in a campaign.
+    """
+    digest = EventDigest()
+    telemetry = KernelTelemetry(MetricRegistry())
+    telemetry.on_event = digest.on_event
     sim = Simulator(seed=seed, telemetry=telemetry)
     sim.every(5.0, lambda: None, label="tick",
               jitter=sim.stream("jitter"), until=horizon)
@@ -14,7 +22,7 @@ def run_jittered(seed, horizon=100.0):
                                      lambda: None, label="chained"),
               label="starter")
     sim.run_until(horizon)
-    return telemetry, sim
+    return digest, telemetry, sim
 
 
 class TestEventDigest:
@@ -44,31 +52,28 @@ class TestEventDigest:
 
 class TestKernelHook:
     def test_digest_counts_every_processed_event(self):
-        telemetry, sim = run_jittered(seed=3)
-        assert telemetry.digest.events == sim.events_processed
-        assert telemetry.digest.events > 0
+        digest, _, sim = run_jittered(seed=3)
+        assert digest.events == sim.events_processed
+        assert digest.events > 0
 
     def test_same_seed_same_digest(self):
-        first, _ = run_jittered(seed=11)
-        second, _ = run_jittered(seed=11)
+        first, _, _ = run_jittered(seed=11)
+        second, _, _ = run_jittered(seed=11)
         assert first.hexdigest() == second.hexdigest()
 
     def test_different_seed_different_digest(self):
-        first, _ = run_jittered(seed=11)
-        second, _ = run_jittered(seed=12)
+        first, _, _ = run_jittered(seed=11)
+        second, _, _ = run_jittered(seed=12)
         assert first.hexdigest() != second.hexdigest()
 
     def test_label_counts_still_maintained(self):
-        telemetry, sim = run_jittered(seed=3)
+        _, telemetry, sim = run_jittered(seed=3)
         assert telemetry.label_counts["tick"] > 0
         assert sum(telemetry.label_counts.values()) == sim.events_processed
 
     def test_plain_kernel_telemetry_unaffected(self):
         # the stock KernelTelemetry has no on_event hook: the kernel
         # must keep working (and counting) without one
-        from repro.telemetry.kernel import KernelTelemetry
-        from repro.telemetry.registry import MetricRegistry
-
         telemetry = KernelTelemetry(MetricRegistry())
         sim = Simulator(seed=3, telemetry=telemetry)
         sim.every(5.0, lambda: None, label="tick", until=50.0)

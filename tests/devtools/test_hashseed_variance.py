@@ -1,11 +1,15 @@
 """PYTHONHASHSEED variance: the linter's heuristics cannot prove hash
 independence, so prove it empirically.
 
-Two subprocesses run the identical short campaign under different hash
-seeds and must print byte-identical summaries (headline metrics plus a
-sha256 over every stored response record).  This is the regression
-test for the class of bug fixed in ``openft/nodes.py`` -- builtin
-``hash()`` of an endpoint string leaking into protocol ids.
+Each fresh subprocess runs the identical short campaign twice and
+prints both runs' kernel event digests, event counts, store sha256s and
+headline metrics.  The two runs of one process must match: a first run
+that differs from the second is state leaking from one campaign into
+the next (a fresh process is the only place the first run is really
+first).  The subprocesses run under different hash seeds and must print
+byte-identical summaries.  This is the regression test for the class of
+bug fixed in ``openft/nodes.py`` -- builtin ``hash()`` of an endpoint
+string leaking into protocol ids.
 """
 
 import json
@@ -19,33 +23,21 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _SCRIPT = """
-import hashlib, json, sys
-from repro.core.experiments import HEADLINE_METRICS
-from repro.core.measure import CampaignConfig
-from repro.core.measure.campaign import (run_limewire_campaign,
-                                         run_openft_campaign)
-from repro.peers.profiles import GnutellaProfile, OpenFTProfile
+import json, sys
+from repro.devtools.digest import run_digest_campaign
 
 network = sys.argv[1]
-if network == "limewire":
-    result = run_limewire_campaign(CampaignConfig(seed=5, duration_days=0.05),
-                                   profile=GnutellaProfile().scaled(0.3))
-else:
-    result = run_openft_campaign(CampaignConfig(seed=5, duration_days=0.05),
-                                 profile=OpenFTProfile().scaled(0.3))
-digest = hashlib.sha256()
-for record in result.store:
-    digest.update(json.dumps(record.to_json(), sort_keys=True).encode())
-print(json.dumps({
-    "records": len(result.store),
-    "store_sha256": digest.hexdigest(),
-    "metrics": {name: fn(result)
-                for name, fn in sorted(HEADLINE_METRICS[network].items())},
-}, sort_keys=True))
+runs = []
+for _ in range(2):
+    digest, events, metrics, store_sha = run_digest_campaign(
+        network, seed=5, days=0.05, scale=0.3)
+    runs.append({"event_digest": digest, "events": events,
+                 "store_sha256": store_sha, "metrics": metrics})
+print(json.dumps(runs, sort_keys=True))
 """
 
 
-def run_campaign_summary(network: str, hash_seed: int) -> dict:
+def run_campaign_summary(network: str, hash_seed: int) -> list:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -61,7 +53,10 @@ def run_campaign_summary(network: str, hash_seed: int) -> dict:
 def test_campaign_invariant_under_hash_seed(network):
     first = run_campaign_summary(network, hash_seed=0)
     second = run_campaign_summary(network, hash_seed=31337)
-    assert first["records"] > 0
+    assert first[0]["events"] > 0
+    assert first[0] == first[1], (
+        f"{network}: the second campaign of one process differs from "
+        f"the first: {first[0]} != {first[1]}")
     assert first == second, (
         f"{network} campaign varies with PYTHONHASHSEED: "
         f"{first} != {second}")

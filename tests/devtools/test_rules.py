@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from .conftest import codes, lint_source
 
 
@@ -158,6 +160,23 @@ class TestDET003UnorderedIteration:
                     sim.after(1.0, lambda: None)
         """)
         assert codes(findings) == ["DET003"]
+
+    @pytest.mark.parametrize("source", ["""
+            def forward(self, frame):
+                for leaf_id in set(self.leaf_tables):
+                    if self.leaf_tables[leaf_id].admits(frame):
+                        self.transport.send(self.endpoint_id, leaf_id,
+                                            frame)
+        """, """
+            def sync(self, packets):
+                send = self.transport.send
+                for parent_id in set(self.parent_ids):
+                    for raw in packets:
+                        send(self.endpoint_id, parent_id, raw)
+        """], ids=["method", "local-alias"])
+    def test_bad_set_iteration_feeding_transport_send(self, source):
+        # a send schedules a delivery: its order is event order
+        assert codes(lint(source)) == ["DET003"]
 
     def test_good_sorted_iteration(self):
         findings = lint("""

@@ -1,11 +1,20 @@
-"""Selfcheck driver + the repo-is-clean lint gate + CLI wiring."""
+"""The tree's own determinism checks, run in tier-1.
 
+The digest campaign the golden fixtures pin, the repo-is-clean lint
+gate (and its SARIF export), and the lock-order check over a live,
+scraped campaign.  Together with the golden fixtures and the replay
+tests these are the whole determinism check: there is no separate
+runtime guard or ``selfcheck`` command.
+"""
+
+import threading
 from pathlib import Path
+from urllib.request import urlopen
 
 import pytest
 
 from repro.cli import main
-from repro.devtools.selfcheck import run_digest_campaign, run_selfcheck
+from repro.devtools.digest import run_digest_campaign
 
 FAST = dict(days=0.02, scale=0.25)
 
@@ -31,38 +40,6 @@ class TestRunDigestCampaign:
     def test_unknown_network_rejected(self):
         with pytest.raises(ValueError):
             run_digest_campaign("napster", seed=1, **FAST)
-
-
-class TestRunSelfcheck:
-    def test_passes_on_clean_tree(self):
-        report = run_selfcheck(seeds=(3,), **FAST)
-        assert report.ok
-        assert report.sanitizer_armed
-        assert report.checks[0].digests_match
-        assert "PASS" in report.render()
-
-    def test_cross_seed_distinct_flag(self):
-        report = run_selfcheck(seeds=(3, 4), **FAST)
-        assert report.cross_seed_distinct
-
-
-class TestSanitizedReplication:
-    def test_run_replications_sanitize_flag(self):
-        from repro.core.experiments import run_replications
-        from repro.core.measure import CampaignConfig
-        from repro.peers.profiles import GnutellaProfile
-
-        plain = run_replications(
-            "limewire", [3], CampaignConfig(duration_days=0.02),
-            profile=GnutellaProfile().scaled(0.25))
-        sanitized = run_replications(
-            "limewire", [3], CampaignConfig(duration_days=0.02),
-            profile=GnutellaProfile().scaled(0.25), sanitize=True)
-        # the sanitizer observes; it must not change a single metric
-        assert {name: summary.values
-                for name, summary in plain.metrics.items()} == \
-               {name: summary.values
-                for name, summary in sanitized.metrics.items()}
 
 
 class TestRepoIsClean:
@@ -125,32 +102,64 @@ class TestRepoIsClean:
 
 
 class TestLockOrderCheck:
+    """Record every lock acquisition while a live campaign is scraped.
+
+    The runtime counterpart of detlint's CONC002: the full telemetry
+    plane (hub + HTTP server) is built under a
+    :class:`LockOrderRecorder`, a scrape thread hammers it over real
+    HTTP while an instrumented campaign runs on the mainline, and any
+    cycle in the observed acquisition graph fails.  CONC002 cannot see
+    a lock taken through another object; this check can.
+    """
+
     def test_lock_order_check_passes_on_clean_tree(self):
-        from repro.devtools.selfcheck import run_lock_order_check
-        report = run_lock_order_check(days=0.02, scale=0.25)
-        assert report.ok, report.render()
-        assert report.locks_tracked > 0
-        assert report.scrapes > 0
-        assert not report.cycles
-        assert "lock-order: PASS" in report.render()
+        from repro.core.measure.campaign import (CampaignConfig,
+                                                 run_limewire_campaign)
+        from repro.devtools.lockorder import LockOrderRecorder
+        from repro.peers.profiles import GnutellaProfile
+        from repro.telemetry import CampaignTelemetry
+        from repro.telemetry.httpd import ObservatoryHub, TelemetryServer
+
+        scrapes = [0]
+        with LockOrderRecorder() as recorder:
+            hub = ObservatoryHub(title="lock-order check")
+            telemetry = CampaignTelemetry()
+            hub.add_campaign("limewire", telemetry)
+            server = TelemetryServer(hub).start()
+            url = server.url
+            stop = threading.Event()
+
+            def scrape() -> None:
+                while not stop.is_set():
+                    for endpoint in ("metrics", "healthz", "snapshot.json"):
+                        try:
+                            with urlopen(url + endpoint,
+                                         timeout=1) as response:
+                                response.read()
+                            scrapes[0] += 1
+                        except OSError:
+                            pass
+
+            scraper = threading.Thread(target=scrape, daemon=True,
+                                       name="lock-order-scraper")
+            scraper.start()
+            try:
+                run_limewire_campaign(
+                    CampaignConfig(seed=1, duration_days=0.02),
+                    profile=GnutellaProfile().scaled(0.25),
+                    telemetry=telemetry)
+            finally:
+                stop.set()
+                scraper.join(timeout=5.0)
+                server.stop()
+        # zero tracked locks or scrapes would mean the recorder never
+        # saw the telemetry plane: a broken check, not a pass
+        assert recorder.locks_created > 0
+        assert scrapes[0] > 0
+        assert recorder.cycles() == [], recorder.render()
 
 
 class TestCli:
-    def test_cli_selfcheck_passes(self, capsys):
-        code = main(["selfcheck", "--seeds", "1", "--base-seed", "3",
-                     "--days", "0.02", "--scale", "0.25"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "selfcheck: PASS" in out
-        assert "caught injected random.random()" in out
-
-    def test_cli_selfcheck_lock_order(self, capsys):
-        code = main(["selfcheck", "--lock-order", "--days", "0.02",
-                     "--scale", "0.25"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "lock-order: PASS" in out
-
     def test_cli_lint_sarif_output(self, capsys, tmp_path):
         import json
         root = Path(__file__).resolve().parents[2]

@@ -7,8 +7,9 @@ Two properties the whole PR rests on:
   clauses costs nothing and perturbs nothing;
 * **faulted replay**: a campaign under a real fault plan is itself a
   pure function of the seed, including across interpreter boundaries
-  and ``PYTHONHASHSEED`` values -- same seed, same lost messages, same
-  crashed peers, same tampered downloads.
+  and ``PYTHONHASHSEED`` values -- same seed, same kernel event stream
+  (``EventDigest``), same lost messages, same crashed peers, same
+  tampered downloads, on both networks.
 """
 
 import hashlib
@@ -47,23 +48,27 @@ def test_empty_plan_is_identical_to_no_plan():
 
 
 _SCRIPT = """
-import hashlib, json
+import json, sys
 from repro.core.measure import CampaignConfig
-from repro.core.measure.campaign import run_limewire_campaign
+from repro.core.measure.campaign import campaign_runner, default_profile
+from repro.devtools.digest import EventDigest
 from repro.faults import FaultPlan
-from repro.peers.profiles import GnutellaProfile
 from repro.simnet.clock import days
+from repro.telemetry import CampaignTelemetry
 
+network = sys.argv[1]
 duration = 0.05
 plan = FaultPlan.envelope("severe", days(duration))
-result = run_limewire_campaign(
+digest = EventDigest()
+telemetry = CampaignTelemetry()
+telemetry.kernel.on_event = digest.on_event
+result = campaign_runner(network)(
     CampaignConfig(seed=5, duration_days=duration, fault_plan=plan),
-    profile=GnutellaProfile().scaled(0.3))
-digest = hashlib.sha256()
-for record in result.store:
-    digest.update(json.dumps(record.to_json(), sort_keys=True).encode())
+    profile=default_profile(network, 0.3), telemetry=telemetry)
 print(json.dumps({
-    "store_sha256": digest.hexdigest(),
+    "event_digest": digest.hexdigest(),
+    "events": digest.events,
+    "store_sha256": result.store.content_digest(),
     "records": len(result.store),
     "injected": dict(sorted(result.faults.injected.items())),
     "drop_causes": dict(sorted(result.world.transport.drop_causes.items())),
@@ -71,12 +76,12 @@ print(json.dumps({
 """
 
 
-def run_faulted_campaign(hash_seed: int) -> dict:
+def run_faulted_campaign(network: str, hash_seed: int) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", _SCRIPT, network],
         capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
         timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -84,10 +89,11 @@ def run_faulted_campaign(hash_seed: int) -> dict:
 
 
 def test_faulted_campaign_replays_bit_identically():
-    first = run_faulted_campaign(hash_seed=0)
-    second = run_faulted_campaign(hash_seed=31337)
-    assert first["records"] > 0
-    assert first["injected"]  # the severe plan actually fired
-    assert first == second, (
-        f"faulted campaign varies across interpreters: "
-        f"{first} != {second}")
+    for network in ("limewire", "openft"):
+        first = run_faulted_campaign(network, hash_seed=0)
+        second = run_faulted_campaign(network, hash_seed=31337)
+        assert first["records"] > 0
+        assert first["injected"]  # the severe plan actually fired
+        assert first == second, (
+            f"faulted {network} campaign varies across interpreters: "
+            f"{first} != {second}")

@@ -4,9 +4,8 @@ A small matrix of scaled-down campaigns (``DAYS`` virtual days at
 population scale ``SCALE``) covering both networks, telemetry on and
 off, and an armed fault plan.  Each entry records
 the measurement store's sha256 and the exact headline metrics; the
-telemetry entries add the kernel event-stream digest and event count
-(taken under the armed entropy sanitizer), the fault entry adds the
-injector tallies, and the two telemetry-off entries the sha256 of the
+telemetry entries add the kernel event-stream digest and event count,
+the fault entry adds the injector tallies, and the two telemetry-off entries the sha256 of the
 ``repro-study analyze`` report (all 14 tables) of their saved store.
 ``golden_campaigns.json`` holds the committed values and
 ``test_golden.py`` demands every entry exactly.
@@ -37,7 +36,7 @@ from repro.cli import main as cli_main
 from repro.core.experiments import HEADLINE_METRICS
 from repro.core.measure.campaign import (CampaignConfig, campaign_runner,
                                          default_profile)
-from repro.devtools.selfcheck import run_digest_campaign
+from repro.devtools.digest import run_digest_campaign
 from repro.faults import FaultPlan, LossBurst
 
 FIXTURE = Path(__file__).with_name("golden_campaigns.json")
@@ -52,9 +51,9 @@ LOSS_BURST = FaultPlan(clauses=(LossBurst(start_s=100.0, end_s=2000.0,
 class Case:
     """One campaign of the matrix.
 
-    ``kind`` is ``digest`` (telemetry on, event digest, sanitizer
-    armed), ``bare`` (telemetry off) or ``faults`` (telemetry off,
-    ``LOSS_BURST`` armed).
+    ``kind`` is ``digest`` (telemetry on, event digest), ``bare``
+    (telemetry off) or ``faults`` (telemetry off, ``LOSS_BURST``
+    armed).
     """
 
     network: str

@@ -139,7 +139,7 @@ def digested_campaign(seed):
     """(EventDigest, store sha256) for one tiny campaign -- picklable."""
     from repro.core.measure.campaign import (CampaignConfig,
                                              run_limewire_campaign)
-    from repro.devtools.sanitizer import EventDigest
+    from repro.devtools.digest import EventDigest
     from repro.peers.profiles import GnutellaProfile
     from repro.telemetry import CampaignTelemetry
 

@@ -16,7 +16,7 @@ import pytest
 from repro.core.measure.campaign import (CampaignConfig,
                                          run_limewire_campaign,
                                          run_openft_campaign)
-from repro.devtools.sanitizer import EventDigest
+from repro.devtools.digest import EventDigest
 from repro.peers.profiles import GnutellaProfile, OpenFTProfile
 from repro.telemetry import CampaignTelemetry
 
