@@ -27,11 +27,7 @@ target --
   probabilities zero), proving the chaos taps cost nothing when no
   fault fires and the faults-off hot path is untouched;
 * **replication wall-clock**: a multi-seed `run_replications` campaign,
-  serial vs process-pool parallel;
-* **supervision overhead**: the same multi-seed campaign under the
-  plain pool vs the watchdogged ``supervised_map`` pool (per-seed
-  heartbeats, stall/deadline watchdogs), reports asserted identical,
-  gated in CI via ``--assert-overhead resilience_overhead_pct=10``;
+  in-process (one worker) vs fanned out over watched worker processes;
 
 -- and writes the numbers to ``benchmarks/BENCH_<rev>.json`` so
 ``scripts/bench_compare.py`` can diff any two revisions.
@@ -450,66 +446,6 @@ def bench_replications(seeds: int, days: float, workers: int) -> dict:
     }
 
 
-def bench_resilience(seeds: int, days: float, workers: int) -> dict:
-    """Supervision overhead: watchdogged fan-out vs the plain pool.
-
-    The same multi-seed campaign runs under the trusting process pool
-    and under :func:`repro.resilience.supervised_map` (per-seed
-    heartbeats, stall + deadline watchdogs, kill-and-requeue).  Legs
-    alternate in one measurement window, which order flipped each rep,
-    and the gated number is the median of per-rep overheads -- the
-    same drift-cancelling discipline as the observability bench.  The
-    two reports must agree metric-for-metric, bit for bit: supervision
-    may only change *when* a seed's worker is killed, never what a
-    surviving seed measures.  Gated in CI via
-    ``--assert-overhead resilience_overhead_pct=10``.
-    """
-    from repro.core.experiments import run_replications
-    from repro.core.measure.campaign import CampaignConfig
-    from repro.peers.profiles import GnutellaProfile
-    from repro.resilience import SupervisionPolicy
-
-    config = CampaignConfig(seed=0, duration_days=days)
-    profile = GnutellaProfile().scaled(0.5)
-    seed_list = tuple(range(1, seeds + 1))
-    policy = SupervisionPolicy(deadline_s=600.0, stall_timeout_s=60.0)
-
-    def one_run(supervised: bool):
-        start = time.perf_counter()
-        report = run_replications(
-            "limewire", seed_list, config, profile=profile,
-            workers=workers,
-            supervision=policy if supervised else None)
-        return time.perf_counter() - start, report
-
-    plain_times, supervised_times = [], []
-    plain_report = supervised_report = None
-    for rep in range(3):
-        legs = [False, True] if rep % 2 == 0 else [True, False]
-        for supervised in legs:
-            elapsed, report = one_run(supervised)
-            if supervised:
-                supervised_times.append(elapsed)
-                supervised_report = report
-            else:
-                plain_times.append(elapsed)
-                plain_report = report
-    for name in plain_report.metrics:
-        if (plain_report.metrics[name].values
-                != supervised_report.metrics[name].values):
-            raise AssertionError(
-                f"supervised metrics diverged from plain for {name!r}")
-    overheads = sorted((sup - plain) / plain * 100.0
-                       for plain, sup in zip(plain_times, supervised_times)
-                       if plain)
-    return {
-        "resilience_plain_s": min(plain_times),
-        "resilience_supervised_s": min(supervised_times),
-        "resilience_overhead_pct": (
-            overheads[len(overheads) // 2] if overheads else 0.0),
-    }
-
-
 def run(quick: bool, workers: int) -> dict:
     results = {}
     print("benchmarking kernel events (plain + telemetry, interleaved)...",
@@ -553,15 +489,6 @@ def run(quick: bool, workers: int) -> dict:
     print(f"  serial {results['replication_serial_s']:.2f}s, "
           f"parallel {results['replication_parallel_s']:.2f}s "
           f"(speedup {results['replication_speedup']:.2f}x)")
-    print("benchmarking supervision overhead (plain vs watchdogged pool, "
-          "interleaved)...", flush=True)
-    results.update(bench_resilience(
-        seeds=2 if quick else 4, days=0.1 if quick else 0.25,
-        workers=workers))
-    print(f"  plain {results['resilience_plain_s']:.2f}s, "
-          f"supervised {results['resilience_supervised_s']:.2f}s "
-          f"(overhead {results['resilience_overhead_pct']:+.1f}%, "
-          f"metrics identical)")
     return results
 
 

@@ -46,9 +46,6 @@ DIRECTIONS = {
     "replication_serial_s": False,
     "replication_parallel_s": False,
     "replication_speedup": True,
-    "resilience_plain_s": False,
-    "resilience_supervised_s": False,
-    "resilience_overhead_pct": False,
 }
 
 

@@ -73,6 +73,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for seed and worker counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _port(text: str) -> int:
     """argparse type for a TCP port to serve on: an integer in 0-65535."""
     try:
@@ -130,16 +143,17 @@ def build_parser() -> argparse.ArgumentParser:
              "mean/min/max of every headline metric")
     replicate.add_argument("--network", choices=("limewire", "openft"),
                            default="limewire")
-    replicate.add_argument("--seeds", type=int, default=4,
+    replicate.add_argument("--seeds", type=_positive_int, default=4,
                            help="number of replication seeds")
     replicate.add_argument("--base-seed", type=int, default=1,
                            help="first seed; replications use "
                                 "base-seed..base-seed+seeds-1")
     replicate.add_argument("--days", type=_positive_float, default=1.0,
                            help="virtual days per replication")
-    replicate.add_argument("--workers", type=int, default=None,
-                           help="campaign processes to run in parallel "
-                                "(default: one per CPU; 1 = serial)")
+    replicate.add_argument("--workers", type=_positive_int, default=None,
+                           help="campaign processes to run in parallel, "
+                                "each watched (default: one per CPU; 1 = "
+                                "every seed in this process)")
     replicate.add_argument("--telemetry-dir", type=Path, default=None,
                            help="instrument every replication and write "
                                 "per-seed journals/spans/metrics plus the "
@@ -160,25 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
                                 "port; requires --telemetry-dir)")
     replicate.add_argument("--host", default="127.0.0.1",
                            help="bind address for --serve-port")
-    replicate.add_argument("--supervise", action="store_true",
-                           help="run workers under heartbeat supervision: "
-                                "hung or stalled workers are killed, "
-                                "requeued with backoff, and quarantined "
-                                "instead of blocking the campaign")
     replicate.add_argument("--deadline", type=_positive_float,
-                           default=300.0, metavar="SECONDS",
-                           help="wall-clock budget per supervised attempt "
-                                "(default: 300)")
+                           default=None, metavar="SECONDS",
+                           help="wall-clock budget per attempt of a worker "
+                                "process (default: none)")
     replicate.add_argument("--stall-timeout", type=_positive_float,
                            default=60.0, metavar="SECONDS",
-                           help="max heartbeat silence before a supervised "
-                                "worker is declared wedged (default: 60)")
+                           help="max heartbeat silence before a worker "
+                                "process is declared wedged, killed, "
+                                "requeued and quarantined (default: 60)")
     replicate.add_argument("--hang-seeds", type=int, nargs="*", default=None,
                            metavar="SEED",
                            help="chaos: inject a worker hang for these "
-                                "seeds (every attempt; the supervisor must "
-                                "kill and quarantine them -- requires "
-                                "--supervise)")
+                                "seeds of the run (every attempt; the "
+                                "watchdog must kill and quarantine them "
+                                "-- needs 2+ workers)")
 
     doctor = subparsers.add_parser(
         "doctor",
@@ -203,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="severity rungs to sweep (default: all, "
                             "mildest first)")
-    chaos.add_argument("--seeds", type=int, default=3,
+    chaos.add_argument("--seeds", type=_positive_int, default=3,
                        help="replication seeds per (severity, network)")
     chaos.add_argument("--base-seed", type=int, default=1)
     chaos.add_argument("--days", type=_positive_float, default=0.25,
                        help="virtual days per campaign")
     chaos.add_argument("--scale", type=_positive_float, default=0.5,
                        help="population scale factor")
-    chaos.add_argument("--workers", type=int, default=1,
+    chaos.add_argument("--workers", type=_positive_int, default=1,
                        help="campaign processes per replication cell")
     chaos.add_argument("--quick", action="store_true",
                        help="CI smoke preset: one seed, 0.1 days, scale "
@@ -309,26 +319,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     from .core.experiments import run_replications
-    from .core.parallel import resolve_workers
+    from .resilience import SupervisionPolicy, resolve_workers
 
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.hang_seeds and not args.supervise:
-        print("error: --hang-seeds requires --supervise (an unsupervised "
-              "pool would hang forever)", file=sys.stderr)
-        return 2
     seeds = tuple(range(args.base_seed, args.base_seed + args.seeds))
     workers = resolve_workers(args.workers, len(seeds))
     config = CampaignConfig(duration_days=args.days)
-    supervision = None
-    if args.supervise:
-        from .resilience import SupervisionPolicy
-        supervision = SupervisionPolicy(
-            deadline_s=args.deadline,
-            stall_timeout_s=args.stall_timeout,
-            heartbeat_s=min(1.0, args.stall_timeout / 2.0))
     if args.hang_seeds:
+        outside = sorted(set(args.hang_seeds) - set(seeds))
+        if outside:
+            print(f"error: --hang-seeds {outside} are not seeds of this "
+                  f"run {list(seeds)}", file=sys.stderr)
+            return 2
+        if workers == 1:
+            print("error: --hang-seeds needs 2+ workers: one worker runs "
+                  "every seed in this process, where nothing can kill a "
+                  "hang", file=sys.stderr)
+            return 2
         from .faults import FaultPlan, WorkerHang
         # attempts=2: the retry hangs too, forcing the quarantine path
         config = replace(config, fault_plan=FaultPlan(
@@ -337,7 +343,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(f"replicating {args.network} over seeds {list(seeds)} "
           f"({args.days:g} virtual days each, {workers} worker"
           f"{'s' if workers != 1 else ''}"
-          f"{', supervised' if supervision else ''})...")
+          f"{', watched' if workers > 1 else ''})...")
     kills = []
     report = run_replications(args.network, seeds, config,
                               workers=workers,
@@ -348,7 +354,9 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                               serve_host=args.host,
                               on_serve=lambda url: print(
                                   f"observability endpoint: {url}"),
-                              supervision=supervision,
+                              supervision=SupervisionPolicy(
+                                  deadline_s=args.deadline,
+                                  stall_timeout_s=args.stall_timeout),
                               on_kill=kills.append)
     for kill in kills:
         seed, attempt = kill.item
@@ -365,9 +373,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .core.chaos import run_fault_envelope
 
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
     if args.quick:
         severities = ("off", "moderate")
         seeds = (args.base_seed,)

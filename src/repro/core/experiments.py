@@ -19,14 +19,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..faults import InjectedWorkerCrash
 from ..resilience import (DurableAppender, HostIntervention,
                           SupervisionPolicy, atomic_write_text,
-                          recover_frames, supervised_map)
+                          recover_frames, resolve_workers, supervised_map)
 from ..telemetry.registry import MetricRegistry
 from ..telemetry.runtime import CampaignTelemetry
 from .analysis.concentration import top_n_share
 from .analysis.prevalence import compute_prevalence
 from .analysis.sources import address_breakdown
 from .measure.campaign import CampaignConfig, CampaignResult, campaign_runner
-from .parallel import merge_worker_registries, parallel_map, resolve_workers
 
 __all__ = ["MetricSummary", "ReplicationReport", "HEADLINE_METRICS",
            "SeedFailure", "CheckpointJournal", "replicate_one",
@@ -292,8 +291,7 @@ class CheckpointJournal:
 
     def record(self, seed: int, metrics: dict,
                snapshot: Optional[dict]) -> None:
-        """Persist one completed seed (idempotent: re-records are no-ops,
-        which absorbs the serial-redo replay after a broken pool)."""
+        """Persist one completed seed (re-recording a seed is a no-op)."""
         if seed in self.completed:
             return
         entry = {"kind": "seed", "seed": seed, "metrics": metrics,
@@ -336,10 +334,11 @@ def run_replications(network: str, seeds: Sequence[int],
                      ) -> ReplicationReport:
     """Run one campaign per seed and summarize the headline metrics.
 
-    ``workers`` fans seeds out over a process pool (``None`` = one per
-    CPU); each seed's campaign is fully determined by its seed, so the
-    report is bit-identical to ``workers=1`` -- the merge happens in
-    seed order, not completion order.
+    ``workers`` fans seeds out over watched worker processes (``None``
+    = one per CPU; see below); each seed's campaign is fully
+    determined by its seed, so the report is bit-identical to
+    ``workers=1``, which runs every seed in the calling process -- the
+    merge happens in seed order, not completion order.
 
     ``telemetry_dir`` instruments every replication: per-seed journals,
     spans and metrics land there, the per-worker registries merge (in
@@ -353,8 +352,9 @@ def run_replications(network: str, seeds: Sequence[int],
     and the per-seed errors in ``failures``.  Only a campaign where
     *every* seed dies raises.  ``checkpoint`` names a
     :class:`CheckpointJournal` file: completed seeds are persisted as
-    they land and skipped on the next invocation, so an interrupted
-    campaign resumes instead of recomputing.
+    they land (in completion order with two or more workers) and
+    skipped on the next invocation, so an interrupted campaign resumes
+    instead of recomputing.
 
     ``serve_port`` (requires ``telemetry_dir``) exposes the fan-out
     live on one aggregated observability endpoint: every seed's
@@ -364,16 +364,17 @@ def run_replications(network: str, seeds: Sequence[int],
     The server is read-only -- results are bit-identical with it on
     or off.
 
-    ``supervision`` swaps the plain process pool for the supervised
-    one (:func:`repro.resilience.supervisor.supervised_map`): workers
-    heartbeat, hung or stalled workers are killed and requeued with
-    backoff, and a worker whose every requeue dies degrades into the
-    same retry-then-quarantine path a crashing worker takes -- a
-    wedged host can slow the campaign but never hang it.  Per-seed
-    results stay bit-identical to an unsupervised run; ``on_kill``
-    observes every watchdog intervention.  Worker-hang/-stall clauses
-    in the fault plan are enforced only under supervision (an
-    unsupervised run must not be able to wedge itself).
+    The worker count is resolved once per run (capped by the seed
+    count).  At two or more, every attempt, retries included, runs in
+    a worker process under :func:`repro.resilience.supervised_map`:
+    workers heartbeat, hung or stalled workers are killed and requeued
+    once, and a worker whose requeue dies too degrades into the same
+    retry-then-quarantine path a crashing worker takes -- a wedged
+    host can slow the campaign but never hang it.  ``supervision``
+    sets the watchdog thresholds, and ``on_kill`` observes every
+    watchdog intervention.  Worker-hang/-stall clauses in the fault
+    plan are enforced only in worker processes (an in-process run
+    must not be able to wedge itself).
     """
     if network not in HEADLINE_METRICS:
         raise ValueError(f"unknown network {network!r}")
@@ -382,6 +383,9 @@ def run_replications(network: str, seeds: Sequence[int],
                          "journals and snapshots live there)")
     metric_fns = HEADLINE_METRICS[network]
     seeds = list(seeds)
+    # resolved once, so a retry round of one seed stays in a watched
+    # worker process
+    workers = resolve_workers(workers, len(seeds))
     plan = config.fault_plan
     journal = None
     if checkpoint is not None:
@@ -431,35 +435,27 @@ def run_replications(network: str, seeds: Sequence[int],
                                telemetry_dir=telemetry_dir,
                                journal_interval_s=journal_interval_s)
 
-    if supervision is not None:
-        hang = plan.worker_hang if plan else None
-        stall = plan.worker_stall if plan else None
+    hang = plan.worker_hang if plan else None
+    stall = plan.worker_stall if plan else None
 
-        def intervention(seed_attempt) -> Optional[HostIntervention]:
-            seed, attempt = seed_attempt
-            if hang is not None and hang.should_hang(seed, attempt):
-                return HostIntervention(kind="hang", seconds=hang.hang_s)
-            if stall is not None and stall.should_stall(seed, attempt):
-                return HostIntervention(kind="stall",
-                                        seconds=stall.stall_s)
-            return None
+    def intervention(seed_attempt) -> Optional[HostIntervention]:
+        seed, attempt = seed_attempt
+        if hang is not None and hang.should_hang(seed, attempt):
+            return HostIntervention(kind="hang", seconds=hang.hang_s)
+        if stall is not None and stall.should_stall(seed, attempt):
+            return HostIntervention(kind="stall", seconds=stall.stall_s)
+        return None
 
-        def supervised_failure(seed_attempt, reason: str) -> _SeedOutcome:
-            seed, attempt = seed_attempt
-            return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
-                                error=f"supervision: {reason}")
+    def supervised_failure(seed_attempt, reason: str) -> _SeedOutcome:
+        seed, attempt = seed_attempt
+        return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
+                            error=f"supervision: {reason}")
 
-        def fan_out(items):
-            return supervised_map(
-                worker, items,
-                workers=resolve_workers(workers, len(items)),
-                policy=supervision, intervention=intervention,
-                failure=supervised_failure, on_result=on_result,
-                on_kill=on_kill)
-    else:
-        def fan_out(items):
-            return parallel_map(worker, items, workers=workers,
-                                on_result=on_result)
+    def fan_out(items):
+        return supervised_map(
+            worker, items, workers=workers, policy=supervision,
+            intervention=intervention, failure=supervised_failure,
+            on_result=on_result, on_kill=on_kill)
 
     pending = [seed for seed in seeds if seed not in completed]
     try:
@@ -494,9 +490,11 @@ def run_replications(network: str, seeds: Sequence[int],
     registry = None
     telemetry_path = None
     if telemetry_dir is not None:
-        registry = merge_worker_registries(
-            MetricRegistry(),
-            [completed[seed][1] for seed in survivors])
+        # counters and histograms sum, gauges keep the max, folded in
+        # seed order: the same registry whichever worker finished first
+        registry = MetricRegistry()
+        for seed in survivors:
+            registry.merge_snapshot(completed[seed][1])
         telemetry_path = (Path(telemetry_dir)
                           / f"{network}_merged_metrics.prom")
         atomic_write_text(telemetry_path, registry.render_prometheus())

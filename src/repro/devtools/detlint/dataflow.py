@@ -8,9 +8,9 @@ catches the value after it has been laundered through a variable::
                                         # actually reaches the scheduler
 
 It is a forward, intra-procedural taint propagation over each function
-body (module-level code is treated as one more scope), plus a one-level
-call-graph summary pass so taint crosses helper functions defined in the
-same module:
+body (module-level code and every nested function are scopes of their
+own), plus a one-level call-graph summary pass so taint crosses helper
+functions defined in the same module:
 
 * **sources** -- every entropy read the syntactic rules know about
   (bare ``random.*``, wall-clock, ``os.urandom``/``os.getenv``/
@@ -20,7 +20,9 @@ same module:
   unpacking, arithmetic, f-strings, conditional expressions, container
   literals, attribute stores on ``self``, and mutating calls
   (``.append(tainted)`` taints the receiver).  A list comprehension or
-  generator over a set carries the set's order.  ``sorted()`` / ``min`` /
+  generator over a set carries the set's order.  After an ``if`` a
+  name carries the taint of either branch, so a reassignment on one
+  path does not clear it.  ``sorted()`` / ``min`` /
   ``max`` / ``len`` cleanse *order* taint (the result no longer depends
   on hash order); nothing cleanses entropy.
 * **summaries** -- pass one computes, for every function and method in
@@ -36,15 +38,17 @@ same module:
   exception type).
 
 Findings fire *only* when taint reaches a sink **through a variable**
-(``direct`` source-at-sink expressions stay the territory of
+(``direct`` entropy-at-sink expressions stay the territory of
 DET001/002/006, and the lexical loop-body case stays DET003's), which
-is what keeps this pass's false-positive rate near zero.
+is what keeps this pass's false-positive rate near zero.  The one
+direct case reported is a set converted inline in a sink's arguments
+(``send_many(src, list(peers), ...)``): no syntactic rule sees it.
 
 ====== ==================================================================
 code   hazard
 ====== ==================================================================
 DET007 laundered entropy reaches a scheduling / seeding / message sink
-DET008 unordered iteration order reaches a sink through a variable
+DET008 unordered iteration order reaches a sink
 ====== ==================================================================
 """
 
@@ -329,7 +333,7 @@ class _ScopeAnalysis:
         if taint.kind == "param":
             self.summary.sink_params.setdefault(taint.param, sink)
             return
-        if taint.direct:
+        if taint.direct and taint.kind == "entropy":
             return  # source-at-sink: DET001/002/006 territory
         if taint.kind == "order" and \
                 taint.span[0] <= node.lineno <= taint.span[1]:
@@ -341,9 +345,9 @@ class _ScopeAnalysis:
             hint = ("derive the value from Simulator.now or a named "
                     "seeded stream instead of ambient entropy")
         else:
+            reach = "directly" if taint.direct else "through a variable"
             message = (f"unordered iteration order from {taint.origin} "
-                       f"(line {taint.line}) reaches {sink} through a "
-                       "variable")
+                       f"(line {taint.line}) reaches {sink} {reach}")
             hint = "sort the set (sorted(...)) before the order can escape"
         self.findings.append(Finding(self.module.relpath, node.lineno,
                                      node.col_offset, code, message, hint))
@@ -388,9 +392,15 @@ class _ScopeAnalysis:
             if taint and taint.kind != "param" and \
                     self.summary.taints_return is None:
                 self.summary.taints_return = replace(taint, direct=False)
-        elif isinstance(stmt, (ast.If,)):
+        elif isinstance(stmt, ast.If):
+            # join: a name is tainted after the if when either branch
+            # leaves it tainted
+            before = dict(self.env)
             self._process_block(stmt.body, check)
+            after_body, self.env = self.env, before
             self._process_block(stmt.orelse, check)
+            for name, taint in after_body.items():
+                self.env.setdefault(name, taint)
         elif isinstance(stmt, (ast.While,)):
             self._process_block(stmt.body, check)
             self._process_block(stmt.orelse, check)
@@ -525,13 +535,27 @@ def _scopes(module: Module) -> Iterator[Tuple[Optional[str], str,
     yield None, "<module>", module.tree.body, ()
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node.name, node.body, _params(node)
+            yield from _function_scopes(None, node.name, node)
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
-                    yield (node.name, f"{node.name}.{item.name}",
-                           item.body, _params(item))
+                    yield from _function_scopes(
+                        node.name, f"{node.name}.{item.name}", item)
+
+
+def _function_scopes(class_of: Optional[str], qualname: str,
+                     node: ast.AST) -> Iterator[Tuple[Optional[str], str,
+                                                      Sequence[ast.stmt],
+                                                      Sequence[str]]]:
+    """One function's scope, then those of the functions nested in it
+    (a closure's ``self`` is still its method's instance)."""
+    yield class_of, qualname, node.body, _params(node)
+    for stmt in node.body:
+        for inner in _walk_statements(stmt):
+            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from _function_scopes(
+                    class_of, f"{qualname}.{inner.name}", inner)
 
 
 def _params(node: ast.AST) -> Tuple[str, ...]:

@@ -20,7 +20,8 @@ Two injection surfaces:
 Host-level chaos is declared here too but enforced elsewhere: worker
 crashes (:class:`WorkerCrash`) by ``run_replications``, worker
 hangs/stalls (:class:`WorkerHang` / :class:`WorkerStall`) by the
-supervised pool in :mod:`repro.resilience.supervisor`, and chaotic IO
+worker processes of the pool in :mod:`repro.resilience.supervisor`
+(two or more workers), and chaotic IO
 (:class:`TornWrite` / :class:`DiskFull` / :class:`SlowFsync`) by
 :class:`HostIOFaults` hooking the crash-safe artifact store.
 """

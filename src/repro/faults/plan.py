@@ -180,8 +180,9 @@ class WorkerHang:
     Only the supervisor's stall watchdog can unstick the run, which is
     exactly what this clause exists to prove.  ``attempts`` counts how
     many attempts hang before the seed computes normally (2 = the retry
-    hangs too, forcing quarantine).  Enforced by the supervised pool's
-    worker shim, never inside the simulator: an unsupervised run must
+    hangs too, forcing quarantine).  Enforced by the process pool's
+    worker shim, so only in worker processes and never inside the
+    simulator: a one-worker run is in-process and unwatched, and must
     not be able to wedge itself.
     """
 

@@ -1,4 +1,4 @@
-"""Resilient execution substrate: durable artifacts, supervised workers.
+"""Resilient execution substrate: durable artifacts, the process pool.
 
 The paper's month-long crawls survived flaky hosts and partial data;
 this package gives the *reproduction pipeline itself* the same
@@ -10,13 +10,14 @@ property.  Three stdlib-only layers, importing nothing above them:
   truncates torn tails and quarantines corrupt interior records
   instead of raising.  A SIGKILL at any byte offset of a write loses
   at most the record being written, never a committed one.
-* :mod:`~repro.resilience.supervisor` -- a supervised worker pool.
-  Each task runs in its own OS process that heartbeats over its
-  result pipe; the parent kills workers that stop beating (stall
-  watchdog) or overrun their wall-clock deadline, requeues them with
-  exponential backoff, and degrades to a reportable failure outcome
+* :mod:`~repro.resilience.supervisor` -- the one process pool.  With
+  two or more workers each task runs in its own OS process that
+  heartbeats over its result pipe; the parent kills workers that stop
+  beating (stall watchdog) or overrun an opt-in wall-clock deadline,
+  requeues them once, and degrades to a reportable failure outcome
   once retries are exhausted -- a permanently hung worker can never
-  block the run forever.
+  block the run forever.  One worker runs every task in the calling
+  process.
 * :mod:`~repro.resilience.doctor` -- the offline repair tool behind
   ``repro-study doctor``: verifies on-disk artifacts, reports what a
   resume would recover, and (with ``repair=True``) truncates torn
@@ -33,13 +34,13 @@ from .store import (FrameScan, atomic_write_bytes, atomic_write_text,
                     atomic_writer, frame_line, parse_frame, scan_frames,
                     DurableAppender, recover_frames)
 from .supervisor import (HostIntervention, SupervisionPolicy, SupervisedKill,
-                         supervised_map)
+                         resolve_workers, supervised_map)
 
 __all__ = [
     "atomic_writer", "atomic_write_bytes", "atomic_write_text",
     "frame_line", "parse_frame",
     "scan_frames", "recover_frames", "FrameScan", "DurableAppender",
     "SupervisionPolicy", "HostIntervention", "SupervisedKill",
-    "supervised_map",
+    "resolve_workers", "supervised_map",
     "ArtifactReport", "DoctorReport", "run_doctor",
 ]

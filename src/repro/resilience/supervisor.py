@@ -1,24 +1,26 @@
-"""The supervised worker pool: hang-proof process fan-out.
+"""The replication process pool: hang-proof process fan-out.
 
-:func:`supervised_map` is the hardened sibling of
-:func:`repro.core.parallel.parallel_map`.  The plain pool trusts its
-workers; this one assumes they can wedge.  Every task runs in its own
-OS process which **heartbeats over its result pipe** while computing;
-the parent multiplexes all pipes with
+:func:`supervised_map` is the one process pool, and it assumes workers
+can wedge.  With two or more workers every task runs in its own OS
+process which **heartbeats over its result pipe** while computing; the
+parent multiplexes all pipes with
 :func:`multiprocessing.connection.wait` and enforces two watchdogs:
 
 * **stall**: no heartbeat for ``stall_timeout_s`` -- the worker is
   wedged (or was SIGSTOPped, or the host faulted it);
-* **deadline**: the attempt has run longer than ``deadline_s`` of wall
-  clock, heartbeats or not.
+* **deadline** (opt-in): the attempt has run longer than
+  ``deadline_s`` of wall clock, heartbeats or not.
 
-A tripped watchdog SIGKILLs the worker and **requeues** the task with
-exponential backoff; after ``requeues`` kills the task degrades to a
+A tripped watchdog SIGKILLs the worker and **requeues** the task once,
+after a short backoff; a second kill degrades the task to a
 caller-supplied failure outcome instead of blocking the run -- the
 escalation path ``run_replications`` routes into its existing
 retry-then-quarantine machinery.  Results come back **in input
-order**, so a supervised fan-out merges bit-identically to a plain or
-serial one.
+order**, so a fan-out merges bit-identically to an in-process run.
+
+One worker runs every task in the calling process, in input order: no
+process starts, so neither the watchdogs nor the interventions below
+apply, and a caller can observe the work from its own process.
 
 Host-fault *interventions* (hang/stall injections declared by a
 :class:`~repro.faults.plan.FaultPlan`) are applied inside the worker
@@ -26,21 +28,37 @@ shim before the user function runs, which is what lets the test suite
 prove the watchdogs work without ever wedging itself: the supervisor
 is the only component that can cancel an injected hang.
 
-When worker processes cannot be started at all (sandboxes without
-``fork``), the pool degrades to a plain in-process loop: supervision
-and interventions are skipped -- correctness never depends on the
-pool, exactly as with ``parallel_map``.
+A task whose worker process cannot be started (sandboxes without
+``fork``) runs inline instead, unwatched -- correctness never depends
+on the pool.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 __all__ = ["HostIntervention", "SupervisionPolicy", "SupervisedKill",
-           "supervised_map"]
+           "resolve_workers", "supervised_map"]
+
+#: kill-and-requeue attempts per task before it degrades to failure
+_REQUEUES = 1
+#: pause before a killed task is launched again
+_REQUEUE_BACKOFF_S = 0.25
+#: grace given to ``join`` after a SIGKILL
+_KILL_GRACE_S = 5.0
+#: slowest worker heartbeat cadence
+_MAX_HEARTBEAT_S = 1.0
+
+
+def resolve_workers(workers: Optional[int], tasks: int) -> int:
+    """Effective worker count: ``None`` means one per CPU, capped by tasks."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    return max(1, min(workers, tasks))
 
 
 @dataclass(frozen=True)
@@ -61,34 +79,26 @@ class HostIntervention:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Watchdog thresholds and retry discipline for one supervised run."""
+    """The watchdog thresholds of one run."""
 
-    #: wall-clock budget per attempt; overruns are killed
-    deadline_s: float = 300.0
+    #: wall-clock budget per attempt (None: no budget); overruns are
+    #: killed
+    deadline_s: Optional[float] = None
     #: max silence between heartbeats before the stall watchdog kills
     stall_timeout_s: float = 60.0
-    #: worker heartbeat cadence (must undercut the stall timeout)
-    heartbeat_s: float = 1.0
-    #: kill-and-requeue attempts per task before degrading to failure
-    requeues: int = 1
-    #: exponential backoff between requeues: base * 2^(kills-1), capped
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 30.0
-    #: grace given to ``join`` after a SIGKILL
-    kill_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0 or self.stall_timeout_s <= 0:
+        if not self.stall_timeout_s > 0 or not (
+                self.deadline_s is None or self.deadline_s > 0):
             raise ValueError("deadline_s and stall_timeout_s must be "
                              "positive")
-        if not 0 < self.heartbeat_s <= self.stall_timeout_s / 2:
-            raise ValueError(
-                f"heartbeat_s ({self.heartbeat_s!r}) must be positive and "
-                f"at most half the stall timeout "
-                f"({self.stall_timeout_s!r}): a single delayed beat must "
-                f"not read as a stall")
-        if self.requeues < 0:
-            raise ValueError("requeues must be >= 0")
+
+    @property
+    def heartbeat_s(self) -> float:
+        """Worker beat cadence: a quarter of the stall timeout, at most
+        1 s, so a healthy worker on a loaded host must miss several
+        beats in a row before it reads as stalled."""
+        return min(_MAX_HEARTBEAT_S, self.stall_timeout_s / 4.0)
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,10 @@ def supervised_map(fn: Callable, items: Sequence,
                    ) -> List:
     """Map ``fn`` over ``items`` under watchdog supervision.
 
-    ``fn`` and items must be picklable (workers are real processes).
+    ``workers <= 1`` runs every item in the calling process, in input
+    order, and ignores ``intervention``; ``fn``'s exceptions then
+    propagate unchanged.  With more workers ``fn`` and items must be
+    picklable (workers are real processes).
     ``intervention(item)`` may return a :class:`HostIntervention` to
     apply inside the worker (fault injection).  ``failure(item,
     reason)`` builds the degraded result for a task whose every
@@ -198,13 +211,12 @@ def supervised_map(fn: Callable, items: Sequence,
     :class:`SupervisedKill`.  Returns results in input order.
 
     Worker exceptions propagate as ``RuntimeError`` carrying the child
-    traceback, after every other worker is killed -- matching
-    ``parallel_map``'s fail-fast contract.
+    traceback, after every other worker is killed (fail fast).
     """
     policy = policy or SupervisionPolicy()
     items = list(items)
-    if not items:
-        return []
+    if workers <= 1:
+        return _serial(fn, items, on_result)
     try:
         import multiprocessing
         import multiprocessing.connection
@@ -219,7 +231,7 @@ def supervised_map(fn: Callable, items: Sequence,
 
     def finalize(run: _Running) -> None:
         run.conn.close()
-        run.process.join(policy.kill_grace_s)
+        run.process.join(_KILL_GRACE_S)
 
     def kill(run: _Running, reason: str) -> None:
         task = run.task
@@ -230,14 +242,12 @@ def supervised_map(fn: Callable, items: Sequence,
             pass
         finalize(run)
         del running[task.index]
-        requeued = task.kills <= policy.requeues
+        requeued = task.kills <= _REQUEUES
         if on_kill is not None:
             on_kill(SupervisedKill(item=task.item, kills=task.kills,
                                    reason=reason, requeued=requeued))
         if requeued:
-            backoff = min(policy.backoff_cap_s,
-                          policy.backoff_base_s * (2 ** (task.kills - 1)))
-            task.ready_at = time.monotonic() + backoff
+            task.ready_at = time.monotonic() + _REQUEUE_BACKOFF_S
             pending.append(task)
         else:
             if failure is None:
@@ -256,7 +266,7 @@ def supervised_map(fn: Callable, items: Sequence,
             now = time.monotonic()
             # launch ready tasks into free slots (input order)
             launchable = [task for task in pending if task.ready_at <= now]
-            while launchable and len(running) < max(1, workers):
+            while launchable and len(running) < workers:
                 task = launchable.pop(0)
                 pending.remove(task)
                 act = intervention(task.item) if intervention else None
@@ -269,9 +279,9 @@ def supervised_map(fn: Callable, items: Sequence,
                 try:
                     process.start()
                 except (OSError, ValueError, RuntimeError):
-                    # host cannot fork: degrade to unsupervised inline
-                    # execution for this task (hangs cannot be injected
-                    # or caught down here)
+                    # host cannot fork: run this task inline,
+                    # unwatched (hangs cannot be injected or caught
+                    # down here)
                     parent_conn.close()
                     child_conn.close()
                     result = fn(task.item)
@@ -288,8 +298,7 @@ def supervised_map(fn: Callable, items: Sequence,
                 # earliest ready time
                 if pending:
                     wake = min(task.ready_at for task in pending)
-                    time.sleep(max(0.0, min(wake - time.monotonic(),
-                                            policy.backoff_cap_s)))
+                    time.sleep(max(0.0, wake - time.monotonic()))
                 continue
 
             # multiplex every live result pipe
@@ -325,7 +334,8 @@ def supervised_map(fn: Callable, items: Sequence,
                 elif now - run.last_beat > policy.stall_timeout_s:
                     kill(run, f"no heartbeat for "
                               f"{policy.stall_timeout_s:g}s (stall)")
-                elif now - run.started > policy.deadline_s:
+                elif (policy.deadline_s is not None
+                      and now - run.started > policy.deadline_s):
                     kill(run, f"deadline {policy.deadline_s:g}s exceeded")
     except BaseException:
         _abort(running, finalize)

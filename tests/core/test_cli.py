@@ -55,6 +55,19 @@ class TestParser:
         assert exited.value.code == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        "replicate --seeds", "replicate --workers", "chaos --seeds",
+        "chaos --workers",
+    ])
+    def test_seed_and_worker_counts_must_be_positive(self, command, value,
+                                                     capsys):
+        *words, option = command.split()
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*words, f"{option}={value}"])
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
+
     @pytest.mark.parametrize("port", ["70000", "-1"])
     @pytest.mark.parametrize("command", ["run", "replicate"])
     def test_serve_port_must_be_a_port(self, command, port, tmp_path,
@@ -113,7 +126,10 @@ class TestReplicate:
         assert "prevalence" in output
 
     def test_rejects_zero_seeds(self, capsys):
-        assert main(["replicate", "--seeds", "0"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["replicate", "--seeds", "0"])
+        assert exited.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
 
     def test_checkpoint_journal_written_and_reused(self, tmp_path, capsys):
         journal = tmp_path / "resume.jsonl"
@@ -356,23 +372,32 @@ class TestDoctor:
 class TestSupervisedReplicate:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["replicate"])
-        assert not args.supervise
-        assert args.deadline == 300.0
+        assert args.deadline is None  # opt-in: long seeds must not die
         assert args.stall_timeout == 60.0
         assert args.hang_seeds is None
 
     def test_hang_seeds_require_supervision(self, capsys):
-        code = main(["replicate", "--seeds", "1", "--hang-seeds", "1"])
+        # one worker (asked for, or one seed) runs in-process, where no
+        # watchdog could kill the hang
+        for argv in (["--seeds", "1", "--workers", "2"],
+                     ["--seeds", "2", "--workers", "1"]):
+            assert main(["replicate", *argv, "--hang-seeds", "1"]) == 2
+            assert "needs 2+ workers" in capsys.readouterr().err
+
+    def test_hang_seeds_must_be_seeds_of_the_run(self, capsys):
+        code = main(["replicate", "--seeds", "2", "--workers", "2",
+                     "--hang-seeds", "2", "99"])
         assert code == 2
-        assert "--supervise" in capsys.readouterr().err
+        assert "[99] are not seeds of this run" in capsys.readouterr().err
 
     def test_supervised_run_matches_plain(self, capsys):
-        base = ["replicate", "--network", "limewire", "--seeds", "1",
-                "--days", "0.05", "--workers", "1"]
-        assert main(base) == 0
+        base = ["replicate", "--network", "limewire", "--seeds", "2",
+                "--days", "0.05"]
+        assert main(base + ["--workers", "1"]) == 0
         plain = capsys.readouterr().out
-        assert main(base + ["--supervise", "--stall-timeout", "10"]) == 0
+        assert main(base + ["--workers", "2", "--stall-timeout", "10"]) == 0
         supervised = capsys.readouterr().out
+        assert "2 workers, watched" in supervised
         # identical science: every metric line agrees bit-for-bit
         metrics = [line for line in plain.splitlines() if "%" in line]
         assert metrics

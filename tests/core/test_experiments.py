@@ -259,9 +259,7 @@ class TestCheckpointCrashSafety:
 
 
 class TestSupervisedReplication:
-    POLICY = SupervisionPolicy(deadline_s=120.0, stall_timeout_s=2.0,
-                               heartbeat_s=0.2, requeues=1,
-                               backoff_base_s=0.05, backoff_cap_s=0.5)
+    POLICY = SupervisionPolicy(deadline_s=120.0, stall_timeout_s=2.0)
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -320,13 +318,16 @@ class TestSupervisedReplication:
             assert report.metrics[name].values == summary.values
 
     def test_hang_clause_ignored_without_supervision(self, baseline):
-        # unsupervised runs must not enforce hangs (they could never
-        # cancel them); the plan is inert there
+        # one worker runs every seed in-process and unwatched, so it
+        # must not enforce hangs (it could never cancel them); the plan
+        # is inert there, while two workers quarantine the same hang
+        # (test_hung_worker_is_quarantined_not_waited_for)
         plan = FaultPlan(worker_hang=WorkerHang(seeds=(1, 2),
                                                 attempts=2, hang_s=120.0))
         report = run_replications("limewire", seeds=(1, 2),
                                   config=tiny_config(fault_plan=plan),
-                                  profile=TINY_PROFILE)
+                                  profile=TINY_PROFILE, workers=1,
+                                  supervision=self.POLICY)
         assert not report.degraded
         for name, summary in baseline.metrics.items():
             assert report.metrics[name].values == summary.values

@@ -1,15 +1,13 @@
 """Tests for the parallel replication fan-out."""
 
+import multiprocessing.process
+
 import pytest
 
 from repro.core.experiments import replicate_one, run_replications
 from repro.core.measure.campaign import CampaignConfig
-from repro.core.parallel import parallel_map, resolve_workers
 from repro.peers.profiles import GnutellaProfile
-
-
-def _square(value):
-    return value * value
+from repro.resilience import resolve_workers
 
 
 class TestResolveWorkers:
@@ -23,38 +21,6 @@ class TestResolveWorkers:
     def test_floor_of_one(self):
         assert resolve_workers(0, 5) == 1
         assert resolve_workers(-3, 5) == 1
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_parallel_preserves_input_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [
-            i * i for i in items]
-
-    def test_empty_items(self):
-        assert parallel_map(_square, [], workers=4) == []
-
-    def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [5], workers=4) == [25]
-
-    def test_falls_back_when_pool_unavailable(self, monkeypatch):
-        def broken_executor(*args, **kwargs):
-            raise OSError("no fork for you")
-
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            broken_executor)
-        assert parallel_map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
-
-    def test_worker_exceptions_propagate(self):
-        def boom(value):
-            raise RuntimeError("bad seed")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], workers=1)
 
 
 class TestParallelReplications:
@@ -76,6 +42,19 @@ class TestParallelReplications:
             # bit-identical floats, not approx: same seed, same world
             assert serial.metrics[name].values == \
                 parallel.metrics[name].values
+
+    def test_one_worker_starts_no_process(self, setup, monkeypatch):
+        # every seed runs in the calling process, where an in-process
+        # probe (perfbench's lw-sweep) can see the campaign
+        def refuse(process):
+            raise AssertionError("a one-worker run started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        config, profile = setup
+        report = run_replications("limewire", (3, 4), config,
+                                  profile=profile, workers=1)
+        assert report.completed_seeds == (3, 4) and not report.degraded
 
     def test_replicate_one_matches_serial_runner(self, setup):
         config, profile = setup

@@ -72,6 +72,34 @@ class TestDET007LaunderedEntropy:
         """)
         assert "DET007" in codes(findings)
 
+    def test_bad_taint_survives_a_branch_that_reassigns(self):
+        # one path clears the name, the other keeps the entropy: the
+        # join after the if keeps the taint
+        findings = lint("""
+            import os
+
+            def schedule(sim, delay, until, cb):
+                when = sim.now + delay * float(os.environ.get("K", "1"))
+                if when > until:
+                    when = until
+                sim.at(when, cb)
+        """)
+        assert codes(findings) == ["DET007"]
+
+    def test_fixed_reassigned_on_both_branches_is_silent(self):
+        findings = lint("""
+            import os
+
+            def schedule(sim, delay, until, cb):
+                when = sim.now + delay * float(os.environ.get("K", "1"))
+                if when > until:
+                    when = until
+                else:
+                    when = sim.now + delay
+                sim.at(when, cb)
+        """)
+        assert findings == []
+
     def test_direct_source_at_sink_stays_det002_territory(self):
         # time.time() directly inside the sink call is DET002's finding;
         # the dataflow pass must not double-report it
@@ -128,6 +156,47 @@ class TestDET008OrderTaint:
                 targets = [peer for peer in sorted(set(self.peer_ids))
                            if peer != src]
                 self.transport.send_many(self.endpoint_id, targets, frame)
+        """)
+        assert findings == []
+
+    def test_bad_set_converted_inline_at_send(self):
+        findings = lint("""
+            def originate(self, packet):
+                self.transport.send_many(self.endpoint_id,
+                                         list(set(self.parent_ids)), packet)
+        """)
+        assert codes(findings) == ["DET008"]
+        assert "directly" in findings[0].message
+
+    def test_fixed_sorted_inline_at_send_is_silent(self):
+        findings = lint("""
+            def originate(self, packet):
+                self.transport.send_many(self.endpoint_id,
+                                         sorted(set(self.parent_ids)), packet)
+        """)
+        assert findings == []
+
+    def test_bad_order_taint_inside_nested_function(self):
+        findings = lint("""
+            class Injector:
+                def schedule(self, clause):
+                    def activate():
+                        endpoints = list(set(self.transport.endpoints))
+                        self.stream.sample(endpoints, clause.count)
+
+                    self.sim.at(clause.start_s, activate)
+        """)
+        assert codes(findings) == ["DET008"]
+
+    def test_fixed_nested_function_with_sorted_census_is_silent(self):
+        findings = lint("""
+            class Injector:
+                def schedule(self, clause):
+                    def activate():
+                        endpoints = sorted(self.transport.endpoints)
+                        self.stream.sample(endpoints, clause.count)
+
+                    self.sim.at(clause.start_s, activate)
         """)
         assert findings == []
 
