@@ -17,14 +17,14 @@ import pytest
 from repro.core.measure import (CampaignConfig, run_limewire_campaign,
                                 run_openft_campaign)
 
-BENCH_SEED = 2
-BENCH_DAYS = 1.0
+STUDY_SEED = 2
+STUDY_DAYS = 1.0
 
 
 @pytest.fixture(scope="session")
 def bench_config() -> CampaignConfig:
     """Campaign configuration used by all analysis benchmarks."""
-    return CampaignConfig(seed=BENCH_SEED, duration_days=BENCH_DAYS)
+    return CampaignConfig(seed=STUDY_SEED, duration_days=STUDY_DAYS)
 
 
 @pytest.fixture(scope="session")

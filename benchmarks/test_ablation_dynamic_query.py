@@ -15,7 +15,7 @@ from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.gnutella.servent import GnutellaServent
 from repro.peers.profiles import GnutellaProfile
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 #: scaled controller parameters: the mesh is ~1000x smaller than 2006
 #: Gnutella, so the 150-result satisfaction point scales to ~10 and the
@@ -25,7 +25,7 @@ SCALED_PROBE_TTL = 1
 
 
 def test_ablation_dynamic_query(benchmark):
-    config = CampaignConfig(seed=BENCH_SEED, duration_days=0.5)
+    config = CampaignConfig(seed=STUDY_SEED, duration_days=0.5)
 
     def run_both():
         flooding = run_limewire_campaign(

@@ -12,7 +12,7 @@ from repro.core.analysis.prevalence import compute_prevalence
 from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.peers.profiles import GnutellaProfile, StrainSeeding
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def _echo_free_profile() -> GnutellaProfile:
@@ -24,7 +24,7 @@ def _echo_free_profile() -> GnutellaProfile:
 
 
 def test_ablation_echo_naming(benchmark, limewire):
-    config = CampaignConfig(seed=BENCH_SEED, duration_days=0.5)
+    config = CampaignConfig(seed=STUDY_SEED, duration_days=0.5)
 
     def run_ablated():
         return run_limewire_campaign(config, profile=_echo_free_profile())

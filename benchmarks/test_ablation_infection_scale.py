@@ -12,7 +12,7 @@ from repro.core.analysis.prevalence import compute_prevalence
 from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.peers.profiles import GnutellaProfile, StrainSeeding
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def _with_infection_scale(profile: GnutellaProfile,
@@ -30,7 +30,7 @@ def _with_infection_scale(profile: GnutellaProfile,
 
 def test_ablation_infection_scale(benchmark):
     base = GnutellaProfile().scaled(0.5)
-    config = CampaignConfig(seed=BENCH_SEED, duration_days=0.4)
+    config = CampaignConfig(seed=STUDY_SEED, duration_days=0.4)
 
     def sweep():
         results = {}

@@ -12,13 +12,13 @@ from repro.core.analysis.prevalence import compute_prevalence
 from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.peers.profiles import GnutellaProfile
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def _run_with_degree(degree: int):
     profile = replace(GnutellaProfile().scaled(0.5),
                       ultrapeer_degree=degree)
-    config = CampaignConfig(seed=BENCH_SEED, duration_days=0.5)
+    config = CampaignConfig(seed=STUDY_SEED, duration_days=0.5)
     return run_limewire_campaign(config, profile=profile)
 
 

@@ -11,11 +11,11 @@ import time
 from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.peers.profiles import GnutellaProfile
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def test_campaign_throughput(benchmark):
-    config = CampaignConfig(seed=BENCH_SEED, duration_days=0.25)
+    config = CampaignConfig(seed=STUDY_SEED, duration_days=0.25)
     profile = GnutellaProfile().scaled(0.5)
     timing = {}
 

@@ -9,13 +9,13 @@ from repro.core.filtering.learning import learning_curve
 from repro.core.measure import CampaignConfig, run_limewire_campaign
 from repro.peers.profiles import GnutellaProfile
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def test_ext_learning_curve(benchmark):
     def run():
         result = run_limewire_campaign(
-            CampaignConfig(seed=BENCH_SEED, duration_days=3.0),
+            CampaignConfig(seed=STUDY_SEED, duration_days=3.0),
             profile=GnutellaProfile().scaled(0.5))
         return learning_curve(result.store)
 

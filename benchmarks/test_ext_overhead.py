@@ -14,12 +14,12 @@ from repro.simnet.clock import days
 from repro.simnet.kernel import Simulator
 from repro.simnet.trace import TransportTrace
 
-from .conftest import BENCH_SEED
+from .conftest import STUDY_SEED
 
 
 def test_ext_overhead(benchmark):
     def capture():
-        sim = Simulator(seed=BENCH_SEED)
+        sim = Simulator(seed=STUDY_SEED)
         world = build_gnutella_world(sim, GnutellaProfile().scaled(0.5),
                                      limewire_strains(),
                                      horizon_s=days(0.1))

@@ -162,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSONL journal of completed seeds; an "
                                 "interrupted campaign rerun with the same "
                                 "path resumes instead of recomputing")
-    replicate.add_argument("--journal-interval", type=_positive_float,
-                           default=None,
-                           help="virtual seconds between journal snapshots "
-                                "(default: horizon/100 clamped to "
-                                "[1s, 3600s]; pass 3600 for the fixed "
-                                "hourly cadence)")
     replicate.add_argument("--serve-port", type=_port, default=None,
                            help="serve the fan-out live on one aggregated "
                                 "observability endpoint (0 = ephemeral "
@@ -349,7 +343,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                               workers=workers,
                               telemetry_dir=args.telemetry_dir,
                               checkpoint=args.checkpoint,
-                              journal_interval_s=args.journal_interval,
                               serve_port=args.serve_port,
                               serve_host=args.host,
                               on_serve=lambda url: print(

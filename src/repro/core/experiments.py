@@ -122,8 +122,7 @@ class ReplicationReport:
 
 def replicate_one(network: str, config: CampaignConfig, profile,
                   seed: int, telemetry_dir: Optional[Path] = None,
-                  attempt: int = 0,
-                  journal_interval_s: Optional[float] = None):
+                  attempt: int = 0):
     """Run one seed's campaign and return its headline metric values.
 
     Top-level (and therefore picklable) on purpose: this is the unit of
@@ -147,8 +146,7 @@ def replicate_one(network: str, config: CampaignConfig, profile,
     telemetry = None
     if telemetry_dir is not None:
         telemetry = CampaignTelemetry.for_directory(
-            Path(telemetry_dir), f"{network}_seed{seed}",
-            journal_interval_s=journal_interval_s)
+            Path(telemetry_dir), f"{network}_seed{seed}")
     result = runner(replace(config, seed=seed), profile=profile,
                     telemetry=telemetry)
     metrics = {name: metric(result)
@@ -175,9 +173,7 @@ class _SeedOutcome:
 
 
 def _guarded_replicate(network: str, config: CampaignConfig, profile,
-                       seed_attempt, telemetry_dir=None,
-                       journal_interval_s: Optional[float] = None,
-                       ) -> _SeedOutcome:
+                       seed_attempt, telemetry_dir=None) -> _SeedOutcome:
     """Run one seed, converting any crash into a reportable outcome.
 
     Top-level and picklable, like :func:`replicate_one`.  A worker
@@ -189,8 +185,7 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
     try:
         result = replicate_one(network, config, profile, seed,
                                telemetry_dir=telemetry_dir,
-                               attempt=attempt,
-                               journal_interval_s=journal_interval_s)
+                               attempt=attempt)
     except Exception:
         return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
                             error=traceback.format_exc())
@@ -232,14 +227,13 @@ class CheckpointJournal:
     to an uninterrupted run.
 
     Records are CRC32-framed and fsynced per append (see
-    :mod:`repro.resilience.store`); pre-framing journals load fine and
-    are upgraded in place the first time a repair touches them.  A
-    SIGKILL mid-append leaves a torn final line, which :meth:`_load`
-    truncates away on the next open -- the torn record was never
-    acknowledged, so nothing committed is lost.  ``io`` accepts a
-    chaotic-IO hook (:class:`repro.faults.injectors.HostIOFaults`);
-    injected write failures degrade journaling (counted in
-    ``write_errors``) instead of killing the run.
+    :mod:`repro.resilience.store`).  A SIGKILL mid-append leaves a
+    torn final line, which :meth:`_load` truncates away on the next
+    open -- the torn record was never acknowledged, so nothing
+    committed is lost.  ``io`` accepts a chaotic-IO hook
+    (:class:`repro.faults.injectors.HostIOFaults`); injected write
+    failures degrade journaling (counted in ``write_errors``) instead
+    of killing the run.
     """
 
     def __init__(self, path: Path, fingerprint: str, io=None) -> None:
@@ -325,7 +319,6 @@ def run_replications(network: str, seeds: Sequence[int],
                      workers: Optional[int] = 1,
                      telemetry_dir: Optional[Path] = None,
                      checkpoint: Optional[Path] = None,
-                     journal_interval_s: Optional[float] = None,
                      serve_port: Optional[int] = None,
                      serve_host: str = "127.0.0.1",
                      on_serve: Optional[Callable[[str], None]] = None,
@@ -381,8 +374,11 @@ def run_replications(network: str, seeds: Sequence[int],
     if serve_port is not None and telemetry_dir is None:
         raise ValueError("serve_port requires telemetry_dir (the served "
                          "journals and snapshots live there)")
-    metric_fns = HEADLINE_METRICS[network]
     seeds = list(seeds)
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct and at least one, "
+                         f"got {seeds}")
+    metric_fns = HEADLINE_METRICS[network]
     # resolved once, so a retry round of one seed stays in a watched
     # worker process
     workers = resolve_workers(workers, len(seeds))
@@ -432,8 +428,7 @@ def run_replications(network: str, seeds: Sequence[int],
             hub.record_snapshot(outcome.seed, outcome.snapshot)
 
     worker = functools.partial(_guarded_replicate, network, config, profile,
-                               telemetry_dir=telemetry_dir,
-                               journal_interval_s=journal_interval_s)
+                               telemetry_dir=telemetry_dir)
 
     hang = plan.worker_hang if plan else None
     stall = plan.worker_stall if plan else None

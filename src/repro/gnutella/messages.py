@@ -444,9 +444,8 @@ class FrameCache:
     a different message under a reused GUID simply overwrites the
     entry.
 
-    ``hits``/``misses``/``patches`` feed the ``bench_dataplane`` leg
-    and make both the encode-once and the patch-once savings
-    observable in tests.
+    ``hits``/``misses``/``patches`` make both the encode-once and the
+    patch-once savings observable in tests.
     """
 
     __slots__ = ("_entries", "capacity", "hits", "misses", "patches")

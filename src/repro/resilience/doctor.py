@@ -42,7 +42,6 @@ class ArtifactReport:
     fingerprint: Optional[str] = None
     torn_tail_bytes: int = 0
     corrupt_records: int = 0
-    legacy_records: int = 0
     repaired: bool = False
     note: str = ""
 
@@ -61,8 +60,6 @@ class ArtifactReport:
         if self.corrupt_records:
             action = "quarantined" if self.repaired else "would quarantine"
             parts.append(f"{self.corrupt_records} corrupt ({action})")
-        if self.legacy_records:
-            parts.append(f"{self.legacy_records} unchecksummed legacy")
         if self.note:
             parts.append(self.note)
         return "  " + ": ".join((parts[0], ", ".join(parts[1:]))
@@ -185,7 +182,6 @@ def _examine_jsonl(path: Path, repair: bool) -> ArtifactReport:
         records=len(scan.records),
         torn_tail_bytes=scan.torn_tail_bytes,
         corrupt_records=len(scan.corrupt_lines),
-        legacy_records=scan.legacy_records,
         repaired=repair and not scan.healthy)
     if checkpoint is not None:
         artifact.fingerprint = checkpoint

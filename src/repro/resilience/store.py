@@ -2,8 +2,8 @@
 
 Two write disciplines cover every artifact the pipeline produces:
 
-* **Whole-file artifacts** (``BENCH_<rev>.json``, trace exports, SARIF
-  logs, Prometheus textfiles, measurement stores) go through
+* **Whole-file artifacts** (trace exports, SARIF logs, Prometheus
+  textfiles, measurement stores) go through
   :func:`atomic_writer` (streamed) or :func:`atomic_write_text` /
   :func:`atomic_write_bytes`: the bytes land in a same-directory temp
   file, are fsynced, and only then ``os.replace``d over the target.
@@ -16,6 +16,8 @@ Two write disciplines cover every artifact the pipeline produces:
   a torn final line (the classic SIGKILL-mid-append) is truncated
   away, a corrupt interior record (bit rot, concurrent writer) is
   quarantined, and every committed record before and after survives.
+  Run journals are scanned the same way, though their rows are bare
+  JSON objects without a checksum.
 
 Fault injection hooks are duck-typed (``apply_write`` /
 ``on_fsync``) so this module never imports the faults layer; the
@@ -74,9 +76,8 @@ def frame_line(record: object) -> str:
 def parse_frame(line: str) -> object:
     """Decode and verify one frame line; raises :class:`FrameError`.
 
-    Bare JSON objects (journals written before framing existed) pass
-    through unverified -- there is no checksum to check, and refusing
-    them would make every pre-existing checkpoint unreadable.
+    A bare JSON object (a run-journal row, written unframed) passes
+    through unverified: it carries no checksum to check.
     """
     try:
         obj = json.loads(line)
@@ -85,7 +86,7 @@ def parse_frame(line: str) -> object:
     if not isinstance(obj, dict):
         raise FrameError(f"frame is not an object: {obj!r}")
     if set(obj) != {"crc", "record"}:
-        return obj  # legacy unframed record
+        return obj  # a bare row
     body = _canonical(obj["record"])
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     if f"{crc:08x}" != obj["crc"]:
@@ -99,8 +100,10 @@ class FrameScan:
     """What :func:`scan_frames` recovered from one journal file."""
 
     path: Path
-    #: verified (or legacy-unframed) records, file order
+    #: verified (or bare) records, file order
     records: List[object] = field(default_factory=list)
+    #: the raw bytes of each record's line, without its newline
+    lines: List[bytes] = field(default_factory=list)
     #: 1-based line numbers of corrupt interior records
     corrupt_lines: List[int] = field(default_factory=list)
     #: raw text of the corrupt lines (for quarantine files)
@@ -109,8 +112,6 @@ class FrameScan:
     torn_tail_bytes: int = 0
     #: byte offset the file is valid up to (truncation point)
     clean_end: int = 0
-    #: records that carried no checksum (pre-framing journals)
-    legacy_records: int = 0
 
     @property
     def healthy(self) -> bool:
@@ -164,19 +165,10 @@ def scan_frames(path: Path) -> FrameScan:
                 scan.corrupt_lines.append(index + 1)
                 scan.corrupt_raw.append(line)
             continue
-        if _is_legacy(line):
-            scan.legacy_records += 1
         scan.records.append(record)
+        scan.lines.append(raw)
         scan.clean_end = start + len(raw) + (1 if terminated else 0)
     return scan
-
-
-def _is_legacy(line: str) -> bool:
-    try:
-        obj = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(obj, dict) and set(obj) != {"crc", "record"}
 
 
 def recover_frames(path: Path, repair: bool = False,
@@ -186,8 +178,10 @@ def recover_frames(path: Path, repair: bool = False,
     Repair truncates the torn tail in place and rewrites the file
     (atomically) without corrupt records, moving their raw lines to
     ``quarantine`` (default ``<path>.quarantine``) so no bytes are
-    silently destroyed.  The returned scan describes the file as it
-    was *before* the repair.
+    silently destroyed.  Surviving lines are written back byte for
+    byte, so a checkpoint stays framed and a run journal stays bare.
+    The returned scan describes the file as it was *before* the
+    repair.
     """
     path = Path(path)
     scan = scan_frames(path)
@@ -199,11 +193,8 @@ def recover_frames(path: Path, repair: bool = False,
         with target.open("a", encoding="utf-8") as handle:
             for line in scan.corrupt_raw:
                 handle.write(line + "\n")
-        # rebuild from verified records: legacy rows are re-framed, so
-        # one repair upgrades the whole file to checksummed frames
-        text = "".join(frame_line(record) + "\n"
-                       for record in scan.records)
-        atomic_write_text(path, text)
+        atomic_write_bytes(path, b"".join(line + b"\n"
+                                          for line in scan.lines))
     elif scan.torn_tail_bytes:
         with path.open("r+b") as handle:
             handle.truncate(scan.clean_end)

@@ -25,7 +25,7 @@ Determinism contract -- the server must be invisible to the run:
 * a campaign's event digest and store sha256 are bit-identical with
   the server on or off (asserted under concurrent scrapes by
   ``tests/integration/test_observability.py::TestServerEquivalence``
-  and by the ``bench_observability`` leg).
+  and by the serve leg of ``benchmarks/overhead.py``).
 
 Handlers race the simulation thread only through the GIL: a registry
 snapshot taken mid-mutation can raise ``RuntimeError`` (dict changed

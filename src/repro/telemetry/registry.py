@@ -10,15 +10,15 @@ model so the export is a straight rendering:
 
 Every instrument may declare label names; ``labels(*values)`` returns a
 cached child so the hot path is one dict lookup plus a float add --
-cheap enough to leave enabled everywhere (``benchmarks/baseline.py``
-measures the overhead).  A :class:`MetricRegistry` get-or-creates
-instruments by name (re-registration with a different kind or label set
-is an error, and the first registration must carry help text so every
-exported family renders ``# HELP`` + ``# TYPE``), renders the
-Prometheus text format, and round-trips
-through plain-dict snapshots so per-worker registries from a process
-pool can be merged deterministically into a parent (counters and
-histograms sum; gauges keep the max).
+cheap enough to leave enabled everywhere (the telemetry leg of
+``benchmarks/overhead.py`` gates what it costs a campaign).  A
+:class:`MetricRegistry` get-or-creates instruments by name
+(re-registration with a different kind or label set is an error, and
+the first registration must carry help text so every exported family
+renders ``# HELP`` + ``# TYPE``), renders the Prometheus text format,
+and round-trips through plain-dict snapshots so per-worker registries
+from a process pool can be merged deterministically into a parent
+(counters and histograms sum; gauges keep the max).
 
 A process-global default registry is available through
 :func:`get_registry` / :func:`set_registry` for code that wants metrics

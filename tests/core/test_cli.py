@@ -44,7 +44,7 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         "run --days", "run --scale", "replicate --days",
         "replicate --deadline", "replicate --stall-timeout",
-        "replicate --journal-interval", "chaos --days", "chaos --scale",
+        "chaos --days", "chaos --scale",
         "analyze x.jsonl --days",
     ])
     def test_campaign_length_and_scale_must_be_finite_positive(

@@ -68,6 +68,17 @@ class TestRunReplications:
             run_replications("kazaa", seeds=(1,),
                              config=CampaignConfig())
 
+    @pytest.mark.parametrize("seeds", [(), (3, 3), [1, 2, 1]])
+    def test_empty_or_repeated_seeds_rejected(self, seeds, tmp_path):
+        # a repeated seed would count twice in the mean, min and max
+        with pytest.raises(ValueError, match="seeds"):
+            run_replications("limewire", seeds=seeds,
+                             config=tiny_config(), profile=TINY_PROFILE,
+                             telemetry_dir=tmp_path / "telemetry",
+                             checkpoint=tmp_path / "ckpt.jsonl",
+                             serve_port=0)
+        assert not any(tmp_path.iterdir())  # no journal opened
+
 
 class TestSelfHealing:
     @pytest.fixture(scope="class")

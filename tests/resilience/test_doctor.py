@@ -3,6 +3,9 @@
 import json
 
 from repro.resilience import DurableAppender, frame_line, run_doctor
+from repro.simnet.kernel import Simulator
+from repro.telemetry import RunJournal
+from repro.telemetry.httpd import tail_journal
 
 
 def make_checkpoint(path, seeds=(1, 2)):
@@ -12,6 +15,16 @@ def make_checkpoint(path, seeds=(1, 2)):
             appender.append({"kind": "seed", "seed": seed,
                              "metrics": {"prevalence": 0.5},
                              "snapshot": None})
+    return path
+
+
+def make_run_journal(path, rows=6):
+    """A run journal as a campaign writes it: bare rows, one per tick."""
+    sim = Simulator(seed=1)
+    journal = RunJournal(path, interval_s=10.0)
+    journal.install(sim, until=10.0 * rows)
+    sim.run_all()
+    journal.close(sim)
     return path
 
 
@@ -32,7 +45,7 @@ class TestClassification:
         assert report.artifacts[0].kind == "journal"
 
     def test_json_artifact_parse_checked(self, tmp_path):
-        good = tmp_path / "BENCH_abc.json"
+        good = tmp_path / "report.json"
         good.write_text('{"results": {}}')
         bad = tmp_path / "trace.json"
         bad.write_text('{"traceEvents": [')
@@ -85,6 +98,22 @@ class TestRepair:
         report = run_doctor([path], repair=True)
         assert report.artifacts[0].corrupt_records == 1
         assert (tmp_path / "cp.jsonl.quarantine").exists()
+        assert run_doctor([path]).ok
+
+    def test_repaired_run_journal_keeps_its_rows(self, tmp_path):
+        path = make_run_journal(tmp_path / "limewire_journal.jsonl")
+        lines = path.read_bytes().split(b"\n")
+        survivors = lines[:2] + lines[3:]
+        lines[2] = lines[2][:len(lines[2]) // 2]  # cut an interior row
+        path.write_bytes(b"\n".join(lines))
+        report = run_doctor([path], repair=True)
+        assert report.artifacts[0].corrupt_records == 1
+        # the surviving rows come back byte for byte, still bare, so
+        # the dashboard's tailer reads their fields at the top level
+        assert path.read_bytes() == b"\n".join(survivors)
+        rows = tail_journal(path)
+        assert len(rows) == len(survivors) - 1
+        assert all("events_per_sec" in row for row in rows)
         assert run_doctor([path]).ok
 
     def test_unrepairable_json_still_flagged_after_repair(self, tmp_path):

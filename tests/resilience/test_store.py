@@ -40,9 +40,9 @@ class TestFrames:
             parse_frame('{"crc": "dead')
 
     def test_legacy_bare_record_passes_unverified(self):
-        # journals written before framing existed must stay readable
-        legacy = json.dumps({"kind": "seed", "seed": 1})
-        assert parse_frame(legacy) == {"kind": "seed", "seed": 1}
+        # run-journal rows are bare JSON objects and must stay readable
+        bare = json.dumps({"kind": "seed", "seed": 1})
+        assert parse_frame(bare) == {"kind": "seed", "seed": 1}
 
     def test_key_order_does_not_matter(self):
         # the checksum covers the canonical serialization, so a
@@ -64,7 +64,7 @@ class TestScan:
         write_journal(path, [{"seed": s} for s in range(5)])
         scan = scan_frames(path)
         assert [r["seed"] for r in scan.records] == list(range(5))
-        assert scan.healthy and scan.legacy_records == 0
+        assert scan.healthy
 
     def test_torn_tail_at_every_byte_offset(self, tmp_path):
         """The acceptance criterion: SIGKILL at any byte offset of an
@@ -105,12 +105,6 @@ class TestScan:
         assert scan.corrupt_lines == [2]
         assert scan.torn_tail_bytes == 0
 
-    def test_legacy_rows_counted(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        write_journal(path, [{"seed": 0}, {"seed": 1}], framed=False)
-        scan = scan_frames(path)
-        assert scan.legacy_records == 2 and scan.healthy
-
 
 class TestRecover:
     def test_repair_truncates_torn_tail_in_place(self, tmp_path):
@@ -133,14 +127,15 @@ class TestRecover:
         quarantine = path.with_name(path.name + ".quarantine")
         assert "zzz-not-json" in quarantine.read_text()
 
-    def test_repair_upgrades_legacy_rows_to_frames(self, tmp_path):
+    def test_repair_keeps_bare_rows_bare(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        # legacy journal with one corrupt line forces a rebuild
+        # a bare-row journal with one corrupt line forces a rebuild,
+        # which writes the surviving line back byte for byte
         path.write_text(json.dumps({"seed": 0}) + "\n" + "broken{\n")
         recover_frames(path, repair=True)
+        assert path.read_text() == json.dumps({"seed": 0}) + "\n"
         after = scan_frames(path)
-        assert after.healthy and after.legacy_records == 0
-        assert after.records == [{"seed": 0}]
+        assert after.healthy and after.records == [{"seed": 0}]
 
     def test_scan_only_never_mutates(self, tmp_path):
         path = tmp_path / "j.jsonl"
