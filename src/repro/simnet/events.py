@@ -15,7 +15,7 @@ from typing import Any, Callable, Tuple
 __all__ = ["Event"]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
@@ -35,7 +35,6 @@ class Event:
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     args: Tuple[Any, ...] = field(default=(), compare=False)
-    #: owning bucket/slot cell in the scheduler (see
-    #: :mod:`repro.simnet.sched`); None after the event fired or was
-    #: cancelled.
-    _home: Any = field(default=None, compare=False, repr=False)
+    #: True while the event waits in the queue; cleared when it fires
+    #: or is cancelled, so a later cancel leaves the counts alone.
+    pending: bool = field(default=False, compare=False, repr=False)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .clock import VirtualClock
 from .events import Event
 from .rng import SeededStream, StreamRegistry
-from .sched import TieredEventQueue
+from .sched import EventQueue
 
 __all__ = ["Simulator"]
 
@@ -28,8 +28,8 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0,
                  telemetry=None) -> None:
         self.clock = VirtualClock(start_time)
-        #: calendar-queue + timer-wheel scheduler (see simnet.sched)
-        self.queue = TieredEventQueue()
+        #: binary-heap event queue (see simnet.sched)
+        self.queue = EventQueue()
         self.streams = StreamRegistry(seed)
         self.seed = seed
         self.events_processed = 0
@@ -107,85 +107,29 @@ class Simulator:
         """Stop the run loop after the current event returns."""
         self._halted = True
 
-    def _drain_windowed(self, end_time: float, limit: float) -> int:
-        """Drain loops riding the tiered scheduler's window.
+    def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
+        """Process events up to and including virtual ``end_time``.
 
-        ``TieredEventQueue._head`` leaves the cursor on a live head of
-        the activated (tombstone-filtered, sorted) window; between
-        ``_head`` calls these loops consume the window list by index --
-        two list indexings and an integer bump per event instead of a
-        ``pop_ready`` method call.  The riding is exact: events fire in
-        ``pop_ready`` order.
+        Returns the number of events processed by this call.  Events
+        scheduled beyond ``end_time`` remain queued, so the simulation can be
+        resumed (the campaign driver uses this to take daily snapshots).
 
-        The clock advances by direct assignment behind an explicit
-        monotonicity guard (the invariant ``VirtualClock.advance_to``
-        enforces, without a method call per event), and args-carrying
-        events dispatch without a closure: ``callback(*args)``.  Also:
-
-        * the queue cursor/counters (``_pos``/``_live`` and the home
-          cell's live count) are synced *before* every callback, so a
-          callback observes the same queue state ``pop_ready`` would
-          have left (``len(queue)``, gauges, ``peek_time``);
-        * a callback pushing into the active window bisect-inserts at
-          an index >= the synced cursor (its time is >= now), so the
-          re-read ``entries[pos]`` picks it up in (time, seq) order;
-        * cancels only flip tombstone flags, handled by the in-loop
-          skip (a cancelled head is discarded even beyond the horizon);
-        * ``halt()`` and ``max_events`` are honoured per event.
+        One loop pops each event with ``queue.pop_ready`` and fires it
+        as ``callback(*args)``; ``halt()`` and ``max_events`` are
+        honoured per event.  The clock advances by direct assignment
+        behind the monotonicity guard ``VirtualClock.advance_to``
+        enforces, without a method call per event.  With telemetry
+        attached the loop also bumps one dict entry per event, calls
+        the optional ``on_event(time, label)`` hook of the telemetry
+        duck type (the golden fixtures and replay tests hang their
+        event-stream digest there; the standard KernelTelemetry has
+        none), and times every ``sample_every``-th callback.
         """
-        queue, clock = self.queue, self.clock
-        telemetry = self.telemetry
-        head = queue._head
-        processed = 0
-        if telemetry is None:
-            while not self._halted and processed < limit:
-                entry = head()
-                if entry is None or entry[0] > end_time:
-                    break
-                entries = queue._entries
-                pos = queue._pos
-                while True:
-                    event = entry[2]
-                    if event.cancelled:
-                        pos += 1
-                        if queue._dead > 0:
-                            queue._dead -= 1
-                    else:
-                        time = entry[0]
-                        if time > end_time:
-                            queue._pos = pos
-                            break
-                        if time < clock._now:
-                            raise ValueError(
-                                f"clock cannot run backwards: "
-                                f"now={clock._now!r}, target={time!r}")
-                        pos += 1
-                        queue._pos = pos
-                        queue._live -= 1
-                        home = event._home
-                        home.live -= 1
-                        event._home = None
-                        clock._now = time
-                        args = event.args
-                        if args:
-                            event.callback(*args)
-                        else:
-                            event.callback()
-                        processed += 1
-                        if self._halted or processed >= limit:
-                            break
-                    if pos < len(entries):
-                        entry = entries[pos]
-                    else:
-                        queue._pos = pos
-                        break
-        else:
-            # instrumented twin of the loop above: one dict get/set per
-            # event, plus a perf_counter pair around every Nth callback.
-            # ``on_event`` is the optional per-event hook of the
-            # telemetry duck type (the golden fixtures and replay tests
-            # hang their event-stream digest here); the standard
-            # KernelTelemetry has none.
+        self._halted = False
+        queue, clock, telemetry = self.queue, self.clock, self.telemetry
+        pop_ready = queue.pop_ready
+        limit = float("inf") if max_events is None else max_events
+        if telemetry is not None:
             from time import perf_counter
 
             counts = telemetry.label_counts
@@ -193,83 +137,49 @@ class Simulator:
             sample_every = telemetry.sample_every
             since_sample = telemetry.since_sample
             on_event = getattr(telemetry, "on_event", None)
-            while not self._halted and processed < limit:
-                entry = head()
-                if entry is None or entry[0] > end_time:
-                    break
-                entries = queue._entries
-                pos = queue._pos
-                while True:
-                    event = entry[2]
-                    if event.cancelled:
-                        pos += 1
-                        if queue._dead > 0:
-                            queue._dead -= 1
-                    else:
-                        time = entry[0]
-                        if time > end_time:
-                            queue._pos = pos
-                            break
-                        if time < clock._now:
-                            raise ValueError(
-                                f"clock cannot run backwards: "
-                                f"now={clock._now!r}, target={time!r}")
-                        pos += 1
-                        queue._pos = pos
-                        queue._live -= 1
-                        home = event._home
-                        home.live -= 1
-                        event._home = None
-                        clock._now = time
-                        label = event.label
-                        counts[label] = counts_get(label, 0) + 1
-                        if on_event is not None:
-                            on_event(time, label)
-                        args = event.args
-                        since_sample += 1
-                        if since_sample >= sample_every:
-                            since_sample = 0
-                            started = perf_counter()
-                            if args:
-                                event.callback(*args)
-                            else:
-                                event.callback()
-                            telemetry.observe_callback(
-                                label, perf_counter() - started)
-                        elif args:
-                            event.callback(*args)
-                        else:
-                            event.callback()
-                        processed += 1
-                        if self._halted or processed >= limit:
-                            break
-                    if pos < len(entries):
-                        entry = entries[pos]
-                    else:
-                        queue._pos = pos
-                        break
-            telemetry.since_sample = since_sample
-        return processed
-
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
-        """Process events up to and including virtual ``end_time``.
-
-        Returns the number of events processed by this call.  Events
-        scheduled beyond ``end_time`` remain queued, so the simulation can be
-        resumed (the campaign driver uses this to take daily snapshots).
-        """
-        self._halted = False
-        queue, telemetry = self.queue, self.telemetry
-        limit = float("inf") if max_events is None else max_events
-        processed = self._drain_windowed(end_time, limit)
+        processed = 0
+        while not self._halted and processed < limit:
+            event = pop_ready(end_time)
+            if event is None:
+                break
+            time = event.time
+            if time < clock._now:
+                raise ValueError(
+                    f"clock cannot run backwards: "
+                    f"now={clock._now!r}, target={time!r}")
+            clock._now = time
+            args = event.args
+            if telemetry is None:
+                if args:
+                    event.callback(*args)
+                else:
+                    event.callback()
+            else:
+                label = event.label
+                counts[label] = counts_get(label, 0) + 1
+                if on_event is not None:
+                    on_event(time, label)
+                since_sample += 1
+                if since_sample >= sample_every:
+                    since_sample = 0
+                    started = perf_counter()
+                    event.callback(*args)
+                    telemetry.observe_callback(
+                        label, perf_counter() - started)
+                elif args:
+                    event.callback(*args)
+                else:
+                    event.callback()
+            processed += 1
         remaining = queue.peek_time()
         if not self._halted and (remaining is None or remaining > end_time):
             # drain reached the horizon; move the clock to it so callers can
             # rely on now == end_time after the call
-            if end_time > self.clock.now:
-                self.clock.advance_to(end_time)
+            if end_time > clock.now:
+                clock.advance_to(end_time)
         self.events_processed += processed
         if telemetry is not None:
+            telemetry.since_sample = since_sample
             # after the horizon advance, so gauges reflect the final state
             telemetry.flush(self)
         return processed

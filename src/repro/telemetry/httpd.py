@@ -246,8 +246,6 @@ class ObservatoryHub:
             "events_total": value("sim_events_total"),
             "events_per_sec": events_per_sec,
             "queue_depth": value("sim_queue_depth"),
-            "queue_near_depth": value("sim_queue_near_depth"),
-            "queue_wheel_depth": value("sim_queue_wheel_depth"),
             "downloads_in_flight": value("downloader_in_flight"),
             "infections": value("downloader_malicious_total"),
             "responses_collected": value("collector_responses_total"),
@@ -300,7 +298,7 @@ small { color: #777; }
 <tr><th>virtual time</th><td class="num" id="virtual_time">__VIRTUAL__</td></tr>
 <tr><th>kernel events</th><td class="num" id="events_total">__EVENTS__</td></tr>
 <tr><th>events / s (wall)</th><td class="num" id="events_per_sec">__EPS__</td></tr>
-<tr><th>queue depth (near + wheel)</th><td class="num" id="queue">__QUEUE__</td></tr>
+<tr><th>queue depth</th><td class="num" id="queue">__QUEUE__</td></tr>
 <tr><th>responses collected</th><td class="num" id="responses">__RESPONSES__</td></tr>
 <tr><th>downloads in flight</th><td class="num" id="in_flight">__INFLIGHT__</td></tr>
 <tr><th>infections (dirty scans)</th><td class="num" id="infections">__INFECTIONS__</td></tr>
@@ -329,9 +327,7 @@ async function tick() {
       fmt(d.events_total);
     document.getElementById('events_per_sec').textContent =
       fmt(d.events_per_sec);
-    document.getElementById('queue').textContent =
-      fmt(d.queue_depth) + '  (' + fmt(d.queue_near_depth) + ' + '
-      + fmt(d.queue_wheel_depth) + ')';
+    document.getElementById('queue').textContent = fmt(d.queue_depth);
     document.getElementById('responses').textContent =
       fmt(d.responses_collected);
     document.getElementById('in_flight').textContent =
@@ -362,16 +358,13 @@ def _render_dashboard(state: dict) -> str:
         f"<li>{html.escape(str(row['name']))} &mdash; "
         f"{row['responses']:,} responses</li>"
         for row in state["top_malware"]) or "<li><small>none yet</small></li>"
-    queue = (f"{state['queue_depth']:,.0f}  "
-             f"({state['queue_near_depth']:,.0f} + "
-             f"{state['queue_wheel_depth']:,.0f})")
     page = _DASHBOARD_TEMPLATE
     for marker, text in (
             ("__TITLE__", html.escape(state["title"])),
             ("__VIRTUAL__", f"{state['virtual_time']:,.1f} s"),
             ("__EVENTS__", f"{state['events_total']:,.0f}"),
             ("__EPS__", f"{state['events_per_sec']:,.0f}"),
-            ("__QUEUE__", queue),
+            ("__QUEUE__", f"{state['queue_depth']:,.0f}"),
             ("__RESPONSES__", f"{state['responses_collected']:,.0f}"),
             ("__INFLIGHT__", f"{state['downloads_in_flight']:,.0f}"),
             ("__INFECTIONS__", f"{state['infections']:,.0f}"),

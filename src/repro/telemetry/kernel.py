@@ -11,7 +11,7 @@ deliberately minimal so the simulator never imports this package:
   per-label wall-time histograms cost almost nothing on average;
 * at the end of each ``run_until`` it calls :meth:`flush`, which folds
   the raw dict into the registry's labelled counter and refreshes the
-  queue-depth / heap-compaction / virtual-time gauges.
+  queue and virtual-time gauges.
 
 ``label_counts`` holds cumulative totals; ``flush`` pushes deltas, so
 flushing twice never double-counts.
@@ -57,25 +57,9 @@ class KernelTelemetry:
         self._queue_dead = self.registry.gauge(
             "sim_queue_dead_events",
             "Cancelled events still occupying the scheduler.")
-        self._compactions = self.registry.gauge(
-            "sim_queue_compactions",
-            "Bulk tombstone purges (heap rebuilds / whole-cell drops) "
-            "since the queue was created.")
         self._cancelled = self.registry.gauge(
             "sim_queue_cancelled_total",
-            "Events ever cancelled through the queue (monotonic; "
-            "identical across scheduler twins).")
-        # per-tier depth split of sim_queue_depth; both scheduler twins
-        # expose the split (the heap reports everything as near) and
-        # near + wheel == depth holds whichever twin a run used
-        self._near_depth = self.registry.gauge(
-            "sim_queue_near_depth",
-            "Live events in the scheduler's near tier (the tiered "
-            "queue's calendar window; all live events on the heap).")
-        self._wheel_depth = self.registry.gauge(
-            "sim_queue_wheel_depth",
-            "Live events in far tiers (tiered queue's wheel levels "
-            "and overflow; always 0 on the heap).")
+            "Events ever cancelled through the queue (monotonic).")
         self._virtual_time = self.registry.gauge(
             "sim_virtual_time_seconds", "Current virtual clock reading.")
         self.registry.gauge(
@@ -104,10 +88,5 @@ class KernelTelemetry:
         queue = sim.queue
         self._queue_depth.set(len(queue))
         self._queue_dead.set(queue.dead_events)
-        self._compactions.set(queue.compactions)
-        self._cancelled.set(getattr(queue, "cancelled_total", 0))
-        # the scheduler exposes its tier split directly
-        # (near + wheel == depth)
-        self._near_depth.set(queue.near_depth)
-        self._wheel_depth.set(queue.wheel_depth)
+        self._cancelled.set(queue.cancelled_total)
         self._virtual_time.set(sim.now)

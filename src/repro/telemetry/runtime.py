@@ -45,20 +45,16 @@ class CampaignTelemetry:
         self.kernel = KernelTelemetry(self.registry)
 
     @classmethod
-    def for_directory(cls, directory: Path, name: str,
-                      journal_interval_s: Optional[float] = None
-                      ) -> "CampaignTelemetry":
+    def for_directory(cls, directory: Path, name: str) -> "CampaignTelemetry":
         """A bundle whose journal lives at ``<directory>/<name>_journal.jsonl``.
 
-        ``journal_interval_s=None`` (the default) derives the snapshot
-        cadence from the run horizon at install time; pass an explicit
-        float to pin it (see :class:`RunJournal`).
+        The journal derives its snapshot cadence from the run horizon
+        at install time (see :class:`RunJournal`).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         registry = MetricRegistry()
         journal = RunJournal(directory / f"{name}_journal.jsonl",
-                             interval_s=journal_interval_s,
                              registry=registry)
         return cls(registry=registry, journal=journal)
 

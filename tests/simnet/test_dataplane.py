@@ -114,7 +114,9 @@ class TestSendMany:
         transport.attach("src", lambda e: None)
         transport.attach("dst", lambda e: None)
         transport.send("src", "dst", b"x")
-        labels = {entry[2].label for entry in sim.queue.iter_entries()}
+        labels = set()
+        while (event := sim.queue.pop()) is not None:
+            labels.add(event.label)
         assert labels == {DELIVER_LABEL}
         assert DELIVER_LABEL == "deliver"  # bounded, population-free
 

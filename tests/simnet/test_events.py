@@ -3,12 +3,12 @@
 import pytest
 
 from repro.simnet.events import Event
-from repro.simnet.sched import TieredEventQueue
+from repro.simnet.sched import EventQueue
 
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         order = []
         queue.push(3.0, lambda: order.append("c"))
         queue.push(1.0, lambda: order.append("a"))
@@ -18,7 +18,7 @@ class TestEventQueue:
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         order = []
         for label in "abcde":
             queue.push(1.0, lambda label=label: order.append(label))
@@ -27,7 +27,7 @@ class TestEventQueue:
         assert order == list("abcde")
 
     def test_len_tracks_live_events(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
@@ -35,7 +35,7 @@ class TestEventQueue:
         assert len(queue) == 1
 
     def test_cancelled_events_skipped(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         fired = []
         event = queue.push(1.0, lambda: fired.append(1))
         queue.push(2.0, lambda: fired.append(2))
@@ -45,29 +45,29 @@ class TestEventQueue:
         assert fired == [2]
 
     def test_peek_time_skips_cancelled(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
         queue.cancel(first)
         assert queue.peek_time() == 5.0
 
     def test_peek_empty_returns_none(self):
-        assert TieredEventQueue().peek_time() is None
+        assert EventQueue().peek_time() is None
 
     def test_pop_empty_returns_none(self):
-        assert TieredEventQueue().pop() is None
+        assert EventQueue().pop() is None
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            TieredEventQueue().push(-1.0, lambda: None)
+            EventQueue().push(-1.0, lambda: None)
 
     def test_label_preserved(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         event = queue.push(1.0, lambda: None, label="tick")
         assert event.label == "tick"
 
     def test_cancel_method_is_idempotent(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         queue.cancel(event)
@@ -78,7 +78,7 @@ class TestEventQueue:
     def test_peek_and_pop_agree_on_cancelled_head(self):
         # peek must never report the time of a cancelled event that pop
         # would then silently discard
-        queue = TieredEventQueue()
+        queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         queue.cancel(first)
@@ -88,7 +88,7 @@ class TestEventQueue:
         assert popped is not None and popped.time == peeked
 
     def test_pop_keeps_len_consistent_with_cancellations(self):
-        queue = TieredEventQueue()
+        queue = EventQueue()
         events = [queue.push(float(i), lambda: None) for i in range(10)]
         for event in events[::2]:
             queue.cancel(event)

@@ -14,17 +14,24 @@ from repro.core.measure import campaign
 from repro.core.measure.campaign import (CampaignConfig,
                                          run_limewire_campaign)
 from repro.peers.profiles import GnutellaProfile
-from repro.telemetry import CampaignTelemetry
+from repro.telemetry import CampaignTelemetry, MetricRegistry, RunJournal
 
 CONFIG = CampaignConfig(seed=2, duration_days=0.1)
 PROFILE_SCALE = 0.4
 
 
+def journaled(directory):
+    """A bundle whose journal snapshots every 600 virtual seconds."""
+    registry = MetricRegistry()
+    journal = RunJournal(directory / "limewire_journal.jsonl",
+                         interval_s=600.0, registry=registry)
+    return CampaignTelemetry(registry=registry, journal=journal)
+
+
 @pytest.fixture(scope="module")
 def instrumented(tmp_path_factory):
     directory = tmp_path_factory.mktemp("telemetry")
-    telemetry = CampaignTelemetry.for_directory(
-        directory, "limewire", journal_interval_s=600.0)
+    telemetry = journaled(directory)
     result = run_limewire_campaign(
         CONFIG, profile=GnutellaProfile().scaled(PROFILE_SCALE),
         telemetry=telemetry)
@@ -112,8 +119,7 @@ class TestTopMalwareTally:
             install(telemetry, sim, store, *args, **kwargs)
 
         monkeypatch.setattr(campaign, "_install_journal", install_with_walk)
-        telemetry = CampaignTelemetry.for_directory(
-            tmp_path, "limewire", journal_interval_s=600.0)
+        telemetry = journaled(tmp_path)
         run_limewire_campaign(
             CONFIG, profile=GnutellaProfile().scaled(PROFILE_SCALE),
             telemetry=telemetry)

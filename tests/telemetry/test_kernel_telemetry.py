@@ -80,28 +80,8 @@ class TestGauges:
         sim = run_labelled(telemetry)
         assert registry.get("sim_queue_depth").value == 0
         assert registry.get("sim_virtual_time_seconds").value == sim.now
-        assert (registry.get("sim_queue_compactions").value
-                == sim.queue.compactions)
         assert (registry.get("sim_queue_dead_events").value
                 == sim.queue.dead_events)
-
-    def test_per_tier_depth_gauges_split_queue_depth(self, registry):
-        from repro.simnet.sched import NEAR_SPAN, TieredEventQueue
-
-        telemetry = KernelTelemetry(registry)
-        sim = Simulator(seed=3, telemetry=telemetry)
-        assert isinstance(sim.queue, TieredEventQueue)
-        for offset in range(3):  # calendar window
-            sim.at(1.0 + offset, lambda: None, label="near")
-        for offset in range(2):  # wheel levels
-            sim.at(NEAR_SPAN * 10 + offset * 100.0, lambda: None,
-                   label="far")
-        sim.run_until(0.5)
-        near = registry.get("sim_queue_near_depth").value
-        wheel = registry.get("sim_queue_wheel_depth").value
-        assert near == 3
-        assert wheel == 2
-        assert near + wheel == registry.get("sim_queue_depth").value
 
     def test_cancelled_total_gauge_counts_cancels(self, registry):
         telemetry = KernelTelemetry(registry)
