@@ -22,6 +22,8 @@ from ...telemetry.spans import json_value
 __all__ = ["ResponseRecord"]
 
 
+# A dataclass, not a NamedTuple: the store and the downloader set its
+# fields after construction.
 @dataclass(slots=True)
 class ResponseRecord:
     """One response row in the measurement store."""

@@ -11,7 +11,7 @@ replicated -- the precondition for queries returning many responses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..simnet.rng import SeededStream
 from .names import NameGenerator
@@ -22,8 +22,7 @@ from .zipf import ZipfSampler
 __all__ = ["Work", "FileVersion", "CatalogConfig", "ContentCatalog"]
 
 
-@dataclass(frozen=True)
-class Work:
+class Work(NamedTuple):
     """A logical piece of content identified by its keywords."""
 
     work_id: int
@@ -31,8 +30,7 @@ class Work:
     keywords: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FileVersion:
+class FileVersion(NamedTuple):
     """One concrete encoding of a work; globally bit-identical content."""
 
     version_id: str

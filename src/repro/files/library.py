@@ -21,6 +21,10 @@ __all__ = ["SharedFile", "SharedLibrary"]
 _file_counter = itertools.count()
 
 
+# A slotted dataclass, not a NamedTuple like the per-message records:
+# as a NamedTuple it made the lw-study analysis slower (analyze_s +5%,
+# slower in 5 of 5 perfbench pairs on a 2-vCPU VM), and tests pin its
+# FrozenInstanceError.
 @dataclass(frozen=True, slots=True)
 class SharedFile:
     """One entry of a peer's shared folder."""

@@ -50,6 +50,8 @@ MAGIC_BYTES = {
 }
 
 
+# A dataclass, not a NamedTuple: it caches its urn, md5 and scan body
+# in fields set through ``object.__setattr__``.
 @dataclass(frozen=True)
 class Blob:
     """Sparse representation of one file's content.

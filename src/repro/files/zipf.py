@@ -51,4 +51,4 @@ class ZipfSampler:
 
     def sample_one(self, stream: SeededStream) -> int:
         """Draw a single 1-based rank."""
-        return self.sample(stream, 1)[0]
+        return bisect_left(self._cdf, stream.random()) + 1

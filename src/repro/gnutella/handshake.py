@@ -31,6 +31,7 @@ class HandshakeError(ValueError):
     """Raised on malformed or rejected handshakes."""
 
 
+# A dataclass, not a NamedTuple: ``headers`` defaults to a fresh dict.
 @dataclass(frozen=True)
 class HandshakeMessage:
     """One leg of the handshake: a start line plus headers."""

@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import socket
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Tuple
 
 from .constants import (DESCRIPTOR_BYE, DESCRIPTOR_PING, DESCRIPTOR_PONG,
                         DESCRIPTOR_PUSH, DESCRIPTOR_QUERY,
@@ -42,6 +42,8 @@ HOPS_OFFSET = GUID_LENGTH + 2
 #: queries come from a short list, so a 1.5-day world floods ~53,700
 #: Query payloads that hold ~50 distinct ones
 QUERY_MEMO_SIZE = 256
+#: GUID | type | TTL | hops | payload length, in :class:`Header` order
+_HEADER = struct.Struct("<16sBBBI")
 
 
 class MessageError(ValueError):
@@ -61,8 +63,7 @@ def _unpack_ip(raw: bytes) -> str:
     return socket.inet_ntoa(raw)
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(NamedTuple):
     """The 23-byte descriptor header."""
 
     guid: bytes
@@ -74,24 +75,24 @@ class Header:
     def encode(self) -> bytes:
         if len(self.guid) != GUID_LENGTH:
             raise MessageError(f"GUID must be {GUID_LENGTH} bytes")
-        return self.guid + struct.pack(
-            "<BBBI", self.descriptor_type, self.ttl, self.hops,
-            self.payload_length)
+        return _HEADER.pack(*self)
 
     @staticmethod
     def decode(raw: bytes) -> "Header":
         if len(raw) < HEADER_LENGTH:
             raise MessageError(f"short header: {len(raw)} bytes")
-        guid = raw[:GUID_LENGTH]
-        descriptor_type, ttl, hops, payload_length = struct.unpack(
-            "<BBBI", raw[GUID_LENGTH:HEADER_LENGTH])
-        if payload_length > MAX_PAYLOAD_LENGTH:
-            raise MessageError(f"payload length {payload_length} too large")
-        if ttl + hops > 2 * MAX_TTL:
-            raise MessageError(f"ttl({ttl})+hops({hops}) out of range")
-        return Header(guid, descriptor_type, ttl, hops, payload_length)
+        header = Header._make(_HEADER.unpack_from(raw))
+        if header.payload_length > MAX_PAYLOAD_LENGTH:
+            raise MessageError(
+                f"payload length {header.payload_length} too large")
+        if header.ttl + header.hops > 2 * MAX_TTL:
+            raise MessageError(
+                f"ttl({header.ttl})+hops({header.hops}) out of range")
+        return header
 
 
+# A dataclass, not a NamedTuple like the other descriptors: a record
+# with no fields would be an empty tuple, which is falsy.
 @dataclass(frozen=True)
 class Ping:
     """Keep-alive / host discovery probe; empty payload."""
@@ -107,8 +108,7 @@ class Ping:
     descriptor_type = DESCRIPTOR_PING
 
 
-@dataclass(frozen=True)
-class Pong:
+class Pong(NamedTuple):
     """Ping response advertising a servent and its shared-library size."""
 
     port: int
@@ -133,8 +133,7 @@ class Pong:
                     kbytes_shared=kbytes)
 
 
-@dataclass(frozen=True)
-class Bye:
+class Bye(NamedTuple):
     """Graceful-disconnect notice (code + human-readable reason).
 
     Sent with TTL 1 immediately before closing a connection, so the
@@ -163,8 +162,7 @@ class Bye:
                    reason=payload[2:end].decode("utf-8", errors="replace"))
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """Keyword search descriptor.
 
     ``extensions`` carries HUGE/GGEP data between the two NULs; a plain
@@ -206,8 +204,7 @@ class Query:
                      extensions=extensions.decode("ascii", errors="replace"))
 
 
-@dataclass(frozen=True)
-class HitResult:
+class HitResult(NamedTuple):
     """One shared file inside a QueryHit."""
 
     file_index: int
@@ -249,8 +246,7 @@ _QHD_UPLOADED = 0x08
 _QHD_SPEED_MEASURED = 0x10
 
 
-@dataclass(frozen=True)
-class QueryHit:
+class QueryHit(NamedTuple):
     """Response descriptor listing matching files.
 
     ``address``/``port`` are **self-reported** by the responder -- the crux
@@ -321,8 +317,7 @@ class QueryHit:
                         private_data=private_data)
 
 
-@dataclass(frozen=True)
-class Push:
+class Push(NamedTuple):
     """Firewalled-download request routed back to a NATed responder."""
 
     servent_guid: bytes
@@ -369,8 +364,7 @@ def frame(guid: bytes, message, ttl: int, hops: int = 0) -> bytes:
     if not (0 <= ttl <= 0xFF and 0 <= hops <= 0xFF):
         raise MessageError(f"ttl {ttl!r} or hops {hops!r} not in 0..255")
     payload = message.encode()
-    header = Header(guid=guid, descriptor_type=message.descriptor_type,
-                    ttl=ttl, hops=hops, payload_length=len(payload))
+    header = Header(guid, message.descriptor_type, ttl, hops, len(payload))
     return header.encode() + payload
 
 
@@ -443,12 +437,9 @@ class FrameCache:
     identity, which is deterministic and never hashes large payloads);
     a different message under a reused GUID simply overwrites the
     entry.
-
-    ``hits``/``misses``/``patches`` make both the encode-once and the
-    patch-once savings observable in tests.
     """
 
-    __slots__ = ("_entries", "capacity", "hits", "misses", "patches")
+    __slots__ = ("_entries", "capacity")
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
@@ -458,20 +449,9 @@ class FrameCache:
         #: rule, so a descriptor sees a handful of stampings at most.
         self._entries: dict = {}
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        #: header stampings that built a new variant buffer (a hit
-        #: that could not reuse a memoized stamping verbatim)
-        self.patches = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of :meth:`frame` calls served without re-encoding."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def frame(self, guid: bytes, message, ttl: int, hops: int = 0) -> bytes:
         """Encoded wire bytes for ``message``, body encoded at most once.
@@ -482,15 +462,12 @@ class FrameCache:
         entry = self._entries.get(guid)
         key = (ttl, hops)
         if entry is not None and entry[0] is message:
-            self.hits += 1
             variants = entry[1]
             cached = variants.get(key)
             if cached is None:
-                self.patches += 1
                 base = next(iter(variants.values()))
                 cached = variants[key] = patch_ttl_hops(base, ttl, hops)
             return cached
-        self.misses += 1
         encoded = frame(guid, message, ttl=ttl, hops=hops)
         entries = self._entries
         if guid not in entries and len(entries) >= self.capacity:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, List, Optional, Set
+from typing import AbstractSet, Iterable, List, NamedTuple, Optional, Set
 
 from ..files.names import tokenize
 
@@ -246,8 +245,7 @@ class QueryRouteTable:
         return table
 
 
-@dataclass(frozen=True)
-class QrpReset:
+class QrpReset(NamedTuple):
     """QRP RESET variant: clears the table and declares its geometry."""
 
     table_length: int
@@ -265,13 +263,12 @@ COMPRESSOR_NONE = 0x00
 COMPRESSOR_ZLIB = 0x01
 
 
-@dataclass(frozen=True)
-class QrpPatch:
+class QrpPatch(NamedTuple):
     """QRP PATCH variant (8-bit entries; optional zlib compression).
 
     ``data`` always holds the *uncompressed* slot bytes; compression is
-    applied at encode time and undone at decode time, so equality and
-    table reconstruction are independent of the wire compressor.
+    applied at encode time and undone at decode time, so table
+    reconstruction is independent of the wire compressor.
     """
 
     sequence_number: int

@@ -95,6 +95,11 @@ class GnutellaServent:
         #: query controller instead of flooding them immediately
         self.dynamic_queries = dynamic_queries
         self.servent_guid = new_guid(self.stream)
+        #: the QHD vendor code and GGEP ``VC`` block of every hit it sends
+        self._vendor = (
+            QHD_VENDOR_LIMEWIRE if "LimeWire" in user_agent
+            else user_agent[:4].upper().encode("ascii", "replace"))
+        self._vendor_block = vendor_block(self._vendor, 0x44)
         self.stats = ServentStats()
         #: live dynamic-query controllers: guid -> state dict
         self._dynamic_states: Dict[bytes, Dict[str, object]] = {}
@@ -391,11 +396,8 @@ class GnutellaServent:
                       sha1_urn=shared.sha1_urn)
             for shared in matches[:MAX_RESULTS_PER_HIT]
         )
-        vendor = (QHD_VENDOR_LIMEWIRE if "LimeWire" in self.user_agent
-                  else self.user_agent[:4].upper().encode("ascii",
-                                                          "replace"))
         private_data = encode_ggep([
-            vendor_block(vendor, 0x44),
+            self._vendor_block,
             daily_uptime_block(int(self.stream.uniform(600, 86_400))),
         ])
         hit = QueryHit(
@@ -404,7 +406,7 @@ class GnutellaServent:
             speed_kbps=self.stream.choice((56, 350, 1000, 1544)),
             results=results,
             servent_guid=self.servent_guid,
-            vendor=vendor,
+            vendor=self._vendor,
             push_needed=self.behind_nat,
             busy=self.stream.bernoulli(self.busy_probability),
             private_data=private_data,

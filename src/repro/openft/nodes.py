@@ -17,7 +17,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from ..files.library import SharedLibrary
 from ..files.names import tokenize
@@ -43,8 +44,7 @@ from .packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET, AddShare,
 __all__ = ["ShareRecord", "NodeStats", "OpenFTNode"]
 
 
-@dataclass(frozen=True, slots=True)
-class ShareRecord:
+class ShareRecord(NamedTuple):
     """One indexed share of a child, as its SEARCH parent sees it."""
 
     child_id: str
@@ -343,11 +343,9 @@ class OpenFTNode:
         host = node.advertised_address if node else "0.0.0.0"
         port = node.port if node else DEFAULT_OPENFT_PORT
         http_port = node.http_port if node else DEFAULT_HTTP_PORT
-        return ShareRecord(child_id=child_id, host=host, port=port,
-                           http_port=http_port,
-                           availability=self.stream.randint(0, 3),
-                           size=packet.size, md5=packet.md5,
-                           filename=packet.filename)
+        return ShareRecord(child_id, host, port, http_port,
+                           self.stream.randint(0, 3), packet.size,
+                           packet.md5, packet.filename)
 
     #: wired by the network facade: child endpoint id -> OpenFTNode
     child_resolver: Optional[Callable[[str], Optional["OpenFTNode"]]] = None
@@ -459,10 +457,9 @@ class OpenFTNode:
         for key in sorted(keys)[:MAX_SEARCH_RESULTS]:
             record = self._records[key]
             responses.append(SearchResponse(
-                search_id=packet.search_id, host=record.host,
-                port=record.port, http_port=record.http_port,
-                availability=record.availability, size=record.size,
-                md5=record.md5, filename=record.filename))
+                packet.search_id, record.host, record.port,
+                record.http_port, record.availability, record.size,
+                record.md5, record.filename))
         return responses
 
     def _handle_SearchResponse_raw(self, src: str, raw: bytes,

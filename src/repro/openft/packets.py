@@ -15,7 +15,7 @@ import functools
 import socket
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import NamedTuple, Tuple
 
 from .constants import (FT_ADDSHARE_REQUEST, FT_BROWSE_REQUEST,
                         FT_BROWSE_RESPONSE, FT_CHILD_REQUEST,
@@ -81,6 +81,8 @@ def _unpack_ip(buffer: bytes, offset: int) -> Tuple[str, int]:
     return socket.inet_ntoa(buffer[offset:offset + 4]), offset + 4
 
 
+# The packets without fields are dataclasses, the rest NamedTuples: a
+# record with no fields would be an empty tuple, which is falsy.
 @dataclass(frozen=True)
 class VersionRequest:
     """Ask a peer for its protocol version."""
@@ -95,8 +97,7 @@ class VersionRequest:
         return VersionRequest()
 
 
-@dataclass(frozen=True)
-class VersionResponse:
+class VersionResponse(NamedTuple):
     """Protocol version advertisement."""
 
     major: int
@@ -131,8 +132,7 @@ class NodeInfoRequest:
         return NodeInfoRequest()
 
 
-@dataclass(frozen=True)
-class NodeInfoResponse:
+class NodeInfoResponse(NamedTuple):
     """Class bitmask plus the two listening ports."""
 
     klass: int
@@ -170,8 +170,7 @@ class NodeListRequest:
         return NodeListRequest()
 
 
-@dataclass(frozen=True)
-class NodeListEntry:
+class NodeListEntry(NamedTuple):
     """One advertised node: where it listens and what classes it runs."""
 
     host: str
@@ -192,8 +191,7 @@ class NodeListEntry:
         return NodeListEntry(host=host, port=port, klass=klass), offset + 4
 
 
-@dataclass(frozen=True)
-class NodeListResponse:
+class NodeListResponse(NamedTuple):
     """The node list (count-prefixed entries)."""
 
     entries: Tuple[NodeListEntry, ...]
@@ -234,8 +232,7 @@ class ChildRequest:
         return ChildRequest()
 
 
-@dataclass(frozen=True)
-class ChildResponse:
+class ChildResponse(NamedTuple):
     """SEARCH node's accept/reject of a child request."""
 
     accepted: bool
@@ -253,8 +250,7 @@ class ChildResponse:
             ">H", payload)[0]))
 
 
-@dataclass(frozen=True)
-class AddShare:
+class AddShare(NamedTuple):
     """Child -> parent share registration (one file)."""
 
     size: int
@@ -284,8 +280,7 @@ class AddShare:
         return AddShare(size=size, md5=md5, filename=filename)
 
 
-@dataclass(frozen=True)
-class RemShare:
+class RemShare(NamedTuple):
     """Child -> parent share removal by content hash."""
 
     md5: str
@@ -330,8 +325,7 @@ class StatsRequest:
         return StatsRequest()
 
 
-@dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(NamedTuple):
     """Network statistics (users, shares, total size in GB)."""
 
     users: int
@@ -350,8 +344,7 @@ class StatsResponse:
         return StatsResponse(*struct.unpack_from(">III", payload))
 
 
-@dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(NamedTuple):
     """Keyword search.
 
     ``search_id`` correlates responses; ``ttl`` controls mesh fan-out
@@ -377,8 +370,7 @@ class SearchRequest:
         return SearchRequest(search_id=search_id, ttl=ttl, query=query)
 
 
-@dataclass(frozen=True)
-class SearchResponse:
+class SearchResponse(NamedTuple):
     """One search result (or the end-of-results sentinel).
 
     ``host`` is the serving node's self-reported address.  An empty
@@ -431,13 +423,11 @@ class SearchResponse:
         md5 = payload[offset:offset + 16].hex() if has_md5 else ""
         offset += 16
         filename, _ = _unpack_string(payload, offset)
-        return SearchResponse(search_id=search_id, host=host, port=port,
-                              http_port=http_port, availability=availability,
-                              size=size, md5=md5, filename=filename)
+        return SearchResponse(search_id, host, port, http_port, availability,
+                              size, md5, filename)
 
 
-@dataclass(frozen=True)
-class BrowseRequest:
+class BrowseRequest(NamedTuple):
     """Ask a host for its full share list."""
 
     browse_id: int
@@ -454,8 +444,7 @@ class BrowseRequest:
         return BrowseRequest(browse_id=struct.unpack_from(">I", payload)[0])
 
 
-@dataclass(frozen=True)
-class BrowseResponse:
+class BrowseResponse(NamedTuple):
     """One browsed share (empty md5 = end of listing)."""
 
     browse_id: int
@@ -494,8 +483,7 @@ class BrowseResponse:
                               filename=filename)
 
 
-@dataclass(frozen=True)
-class PushRequest:
+class PushRequest(NamedTuple):
     """Ask a firewalled host to connect out for a download."""
 
     host: str

@@ -15,6 +15,8 @@ from typing import Any, Callable, Tuple
 __all__ = ["Event"]
 
 
+# A dataclass, not a NamedTuple: the queue sets ``cancelled`` and
+# ``pending`` after construction.
 @dataclass(slots=True)
 class Event:
     """A scheduled callback.

@@ -164,7 +164,7 @@ class Transport:
 
         sender.sent += 1
         now = self.sim.now
-        envelope = Envelope(src=src, dst=dst, payload=payload, sent_at=now)
+        envelope = Envelope(src, dst, payload, now)
         delay = self.latency.delay(self._stream, len(payload))
         # args-carrying event: no closure allocation.  The callback is
         # _dispatch, not the bound _deliver, so fault injectors and

@@ -58,6 +58,8 @@ def _parse_head(raw: bytes) -> Tuple[str, Dict[str, str]]:
     return lines[0], headers
 
 
+# The two heads are dataclasses, not NamedTuples: ``headers`` defaults
+# to a fresh dict.
 @dataclass(frozen=True)
 class HttpRequest:
     """A download request head."""

@@ -67,6 +67,12 @@ class TestZipfSampler:
         stream = SeededStream(4, "z")
         assert 1 <= sampler.sample_one(stream) <= 5
 
+    def test_sample_one_picks_what_sample_picks(self):
+        sampler = ZipfSampler(2000, 0.85)
+        ones, batched = SeededStream(5, "z"), SeededStream(5, "z")
+        for _ in range(10_000):
+            assert sampler.sample_one(ones) == sampler.sample(batched, 1)[0]
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ZipfSampler(0, 1.0)

@@ -12,6 +12,8 @@ from repro.gnutella.messages import (Header, HitResult, MessageError, Ping,
                                      decode_payload, frame, parse_frame)
 from repro.simnet.rng import SeededStream
 
+from ..test_records import assert_same_record
+
 GUID = new_guid(SeededStream(1, "guid"))
 
 
@@ -19,7 +21,8 @@ class TestHeader:
     def test_roundtrip(self):
         header = Header(GUID, DESCRIPTOR_QUERY, ttl=4, hops=2,
                         payload_length=10)
-        assert Header.decode(header.encode() + b"\x00" * 10) == header
+        assert_same_record(Header.decode(header.encode() + b"\x00" * 10),
+                           header)
 
     def test_length(self):
         header = Header(GUID, DESCRIPTOR_QUERY, 4, 0, 0)
@@ -42,12 +45,12 @@ class TestHeader:
 
 class TestPingPong:
     def test_ping_roundtrip(self):
-        assert Ping.decode(Ping().encode()) == Ping()
+        assert_same_record(Ping.decode(Ping().encode()), Ping())
 
     def test_pong_roundtrip(self):
         pong = Pong(port=6346, address="10.1.2.3", file_count=42,
                     kbytes_shared=1024)
-        assert Pong.decode(pong.encode()) == pong
+        assert_same_record(Pong.decode(pong.encode()), pong)
 
     def test_pong_short_rejected(self):
         with pytest.raises(MessageError):
@@ -58,7 +61,7 @@ class TestQuery:
     def test_roundtrip(self):
         query = Query(min_speed_kbps=0, criteria="madonna angel",
                       extensions="urn:sha1:")
-        assert Query.decode(query.encode()) == query
+        assert_same_record(Query.decode(query.encode()), query)
 
     def test_utf8_criteria(self):
         query = Query(min_speed_kbps=0, criteria="café music")
@@ -105,7 +108,10 @@ class TestQueryHit:
 
     def test_roundtrip(self):
         hit = self.make_hit()
-        assert QueryHit.decode(hit.encode()) == hit
+        decoded = QueryHit.decode(hit.encode())
+        assert_same_record(decoded, hit)
+        for result, expected in zip(decoded.results, hit.results):
+            assert_same_record(result, expected)
 
     def test_flags_roundtrip(self):
         hit = self.make_hit(push=True, busy=True)
@@ -158,20 +164,20 @@ class TestPush:
     def test_roundtrip(self):
         push = Push(servent_guid=GUID, file_index=9, address="8.8.4.4",
                     port=6346)
-        assert Push.decode(push.encode()) == push
+        assert_same_record(Push.decode(push.encode()), push)
 
 
 class TestBye:
     def test_roundtrip(self):
         from repro.gnutella.messages import Bye
         bye = Bye(code=200, reason="Session closed")
-        assert Bye.decode(bye.encode()) == bye
+        assert_same_record(Bye.decode(bye.encode()), bye)
 
     def test_frame_roundtrip(self):
         from repro.gnutella.messages import Bye
         bye = Bye(code=503, reason="Shutting down")
         header, payload = parse_frame(frame(GUID, bye, ttl=1))
-        assert decode_payload(header, payload) == bye
+        assert_same_record(decode_payload(header, payload), bye)
 
     def test_short_rejected(self):
         from repro.gnutella.messages import Bye
@@ -190,7 +196,7 @@ class TestFraming:
         raw = frame(GUID, query, ttl=4, hops=0)
         header, payload = parse_frame(raw)
         assert header.descriptor_type == DESCRIPTOR_QUERY
-        assert decode_payload(header, payload) == query
+        assert_same_record(decode_payload(header, payload), query)
 
     def test_length_mismatch_rejected(self):
         raw = frame(GUID, Query(0, "x"), ttl=1, hops=0)
@@ -208,7 +214,7 @@ class TestFraming:
                        servent_guid=GUID)
         header, payload = parse_frame(frame(GUID, hit, ttl=3, hops=1))
         assert header.descriptor_type == DESCRIPTOR_QUERY_HIT
-        assert decode_payload(header, payload) == hit
+        assert_same_record(decode_payload(header, payload), hit)
 
 
 @given(criteria=st.text(
@@ -219,7 +225,7 @@ class TestFraming:
 @settings(max_examples=80, deadline=None)
 def test_query_roundtrip_property(criteria, speed):
     query = Query(min_speed_kbps=speed, criteria=criteria)
-    assert Query.decode(query.encode()) == query
+    assert_same_record(Query.decode(query.encode()), query)
 
 
 @given(filename=st.text(
@@ -233,5 +239,5 @@ def test_hit_result_roundtrip_property(filename, size, index):
     result = HitResult(file_index=index, file_size=size,
                        filename=filename, sha1_urn="urn:sha1:X")
     decoded, consumed = HitResult.decode_from(result.encode(), 0)
-    assert decoded == result
+    assert_same_record(decoded, result)
     assert consumed == len(result.encode())

@@ -1,6 +1,5 @@
 """Lazy header parse + ttl splicing for the OpenFT data-plane fast path."""
 
-import dataclasses
 import struct
 
 import pytest
@@ -57,7 +56,7 @@ class TestPatchSearchTtl:
     def test_patch_equals_reencode(self):
         raw = encode_packet(_search(ttl=3))
         for ttl in (2, 1, 0):
-            expected = encode_packet(dataclasses.replace(_search(), ttl=ttl))
+            expected = encode_packet(_search()._replace(ttl=ttl))
             assert patch_search_ttl(raw, ttl) == expected
 
     def test_patch_touches_only_the_ttl_bytes(self):

@@ -13,6 +13,8 @@ from repro.openft.packets import (AddShare, BrowseRequest, BrowseResponse,
                                   VersionRequest, VersionResponse,
                                   decode_packet, encode_packet)
 
+from ..test_records import assert_same_record
+
 MD5 = "0123456789abcdef0123456789abcdef"
 
 
@@ -43,15 +45,15 @@ class TestRoundtrips:
         PushRequest(host="8.8.8.8", port=1215, md5=MD5),
     ])
     def test_roundtrip(self, packet):
-        assert roundtrip(packet) == packet
+        assert_same_record(roundtrip(packet), packet)
 
     def test_end_markers(self):
         end = SearchResponse.end_marker(42)
         assert end.is_end_marker
-        assert roundtrip(end) == end
+        assert_same_record(roundtrip(end), end)
         browse_end = BrowseResponse.end_marker(42)
         assert browse_end.is_end_marker
-        assert roundtrip(browse_end) == browse_end
+        assert_same_record(roundtrip(browse_end), browse_end)
 
     def test_non_end_marker(self):
         response = SearchResponse(search_id=1, host="1.2.3.4", port=1,
@@ -67,7 +69,10 @@ class TestNodeList:
             NodeListEntry(host="1.2.3.4", port=1215, klass=3),
             NodeListEntry(host="10.0.0.9", port=1216, klass=1),
         ))
-        assert roundtrip(response) == response
+        decoded = roundtrip(response)
+        assert_same_record(decoded, response)
+        for entry, expected in zip(decoded.entries, response.entries):
+            assert_same_record(entry, expected)
 
     def test_empty_list(self):
         from repro.openft.packets import NodeListResponse
@@ -75,7 +80,7 @@ class TestNodeList:
 
     def test_request_roundtrip(self):
         from repro.openft.packets import NodeListRequest
-        assert roundtrip(NodeListRequest()) == NodeListRequest()
+        assert_same_record(roundtrip(NodeListRequest()), NodeListRequest())
 
     def test_truncated_entry_rejected(self):
         from repro.openft.constants import FT_NODELIST_RESPONSE
@@ -123,7 +128,7 @@ class TestErrors:
 @settings(max_examples=80, deadline=None)
 def test_search_request_roundtrip_property(query, search_id, ttl):
     packet = SearchRequest(search_id=search_id, ttl=ttl, query=query)
-    assert roundtrip(packet) == packet
+    assert_same_record(roundtrip(packet), packet)
 
 
 @given(filename=st.text(
@@ -136,7 +141,7 @@ def test_search_response_roundtrip_property(filename, size):
     packet = SearchResponse(search_id=1, host="172.16.4.5", port=1215,
                             http_port=1216, availability=1, size=size,
                             md5=MD5, filename=filename)
-    assert roundtrip(packet) == packet
+    assert_same_record(roundtrip(packet), packet)
 
 
 #: well-formed AddShare payloads (any size, md5 and NUL-free name) and
@@ -164,4 +169,4 @@ class TestAddShareMemo:
         decoded = AddShare.decode(payload)
         assert decoded == fresh
         assert AddShare.decode(bytes(bytearray(payload))) is decoded
-        assert decode_packet(encode_packet(fresh)) == fresh
+        assert_same_record(decode_packet(encode_packet(fresh)), fresh)
