@@ -49,18 +49,6 @@ class ImportEdge:
     statement: str  # rendered import target, for the message
 
 
-def _layer_of(dotted: str, package: str) -> str:
-    """``repro.simnet.kernel`` -> ``simnet``; ``repro.cli`` -> ROOT_LAYER."""
-    parts = dotted.split(".")
-    if parts[0] != package or len(parts) < 2:
-        return ROOT_LAYER
-    # ``repro.cli`` is a root module; ``repro.simnet.*`` is layer simnet --
-    # a submodule is a layer only if it has children, but at the dotted-name
-    # level the second component *is* the layer for both cases, so treat
-    # ``repro.<x>`` with a known two-part name as root when <x> is a module.
-    return parts[1]
-
-
 def _resolve_relative(module: Module, node: ast.ImportFrom,
                       package: str) -> List[str]:
     """Absolute dotted targets of a relative ``from ... import`` statement."""

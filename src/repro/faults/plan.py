@@ -341,18 +341,6 @@ class FaultPlan:
         """
         return repr(self.clauses)
 
-    def describe(self) -> str:
-        """One line per clause, for chaos-run banners."""
-        host = [clause for clause in
-                (self.worker_crash, self.worker_hang, self.worker_stall)
-                if clause is not None]
-        if not self.clauses and not host and not self.io_clauses:
-            return "(empty plan)"
-        lines = [repr(clause) for clause in self.clauses]
-        lines.extend(repr(clause) for clause in host)
-        lines.extend(repr(clause) for clause in self.io_clauses)
-        return "\n".join(lines)
-
     @classmethod
     def envelope(cls, severity: str, horizon_s: float) -> "FaultPlan":
         """The graded R1 stress presets over a ``horizon_s`` campaign.

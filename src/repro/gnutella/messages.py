@@ -32,7 +32,7 @@ from .guid import GUID_LENGTH
 __all__ = ["MessageError", "Header", "Ping", "Pong", "Bye", "Query",
            "HitResult", "QueryHit", "Push", "frame", "parse_frame",
            "parse_header", "patch_ttl_hops", "decode_payload",
-           "FrameCache", "TTL_OFFSET", "HOPS_OFFSET"]
+           "TTL_OFFSET", "HOPS_OFFSET"]
 
 #: Byte offsets of the mutable header fields: GUID(16) | type(1) puts
 #: TTL at 17 and hops at 18 (see :class:`Header`).
@@ -368,25 +368,13 @@ def frame(guid: bytes, message, ttl: int, hops: int = 0) -> bytes:
     return header.encode() + payload
 
 
-def parse_frame(raw: bytes) -> Tuple[Header, bytes]:
-    """Split wire bytes into (header, payload), validating lengths."""
-    header = Header.decode(raw)
-    payload = raw[HEADER_LENGTH:]
-    if len(payload) != header.payload_length:
-        raise MessageError(
-            f"payload length mismatch: header says {header.payload_length}, "
-            f"got {len(payload)}")
-    return header, payload
-
-
 def parse_header(raw: bytes) -> Header:
     """Decode and validate the header without slicing the payload off.
 
-    Applies every check :func:`parse_frame` applies -- including the
-    declared-vs-actual payload length -- but leaves the payload bytes in
-    place, so lazy receivers (forwarders that never look at the body)
-    skip the copy.  A frame accepted here is exactly a frame
-    :func:`parse_frame` would accept.
+    Checks the header fields and the declared-vs-actual payload length
+    but leaves the payload bytes in place, so a relay that never looks
+    at the body skips the copy; :func:`parse_frame` is this plus the
+    slice.
     """
     header = Header.decode(raw)
     if len(raw) - HEADER_LENGTH != header.payload_length:
@@ -394,6 +382,11 @@ def parse_header(raw: bytes) -> Header:
             f"payload length mismatch: header says {header.payload_length}, "
             f"got {len(raw) - HEADER_LENGTH}")
     return header
+
+
+def parse_frame(raw: bytes) -> Tuple[Header, bytes]:
+    """Split wire bytes into (header, payload), validating lengths."""
+    return parse_header(raw), raw[HEADER_LENGTH:]
 
 
 def patch_ttl_hops(raw, ttl: int, hops: int) -> bytes:
@@ -418,65 +411,6 @@ def patch_ttl_hops(raw, ttl: int, hops: int) -> bytes:
     patched[TTL_OFFSET] = ttl
     patched[HOPS_OFFSET] = hops
     return bytes(patched)
-
-
-class FrameCache:
-    """Per-servent memo of encoded frames, keyed by descriptor GUID.
-
-    A servent that fans the same descriptor out -- originating to every
-    ultrapeer, probing the mesh round after round in a dynamic query --
-    used to call :func:`frame` (a full body re-encode) once per
-    recipient.  The cache keeps the encoded body per GUID plus a memo
-    of every ``(ttl, hops)`` variant already stamped: fanning a
-    descriptor out at the same ttl/hops -- the overwhelmingly common
-    case, since one forwarding decision feeds a whole neighbour loop
-    -- returns the exact cached ``bytes`` object, copying nothing.  A
-    new variant pays one buffer copy and two byte pokes
-    (:func:`patch_ttl_hops`), never a body re-encode or a three-slice
-    splice.  Reuse demands the *same message object* (checked by
-    identity, which is deterministic and never hashes large payloads);
-    a different message under a reused GUID simply overwrites the
-    entry.
-    """
-
-    __slots__ = ("_entries", "capacity")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
-        #: guid -> (message object, {(ttl, hops): encoded frame bytes}).
-        #: The variant map stays tiny: ttl+hops is bounded by protocol
-        #: rule, so a descriptor sees a handful of stampings at most.
-        self._entries: dict = {}
-        self.capacity = capacity
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def frame(self, guid: bytes, message, ttl: int, hops: int = 0) -> bytes:
-        """Encoded wire bytes for ``message``, body encoded at most once.
-
-        Byte-identical to ``frame(guid, message, ttl, hops)`` for any
-        (guid, message) pair, cached or not.
-        """
-        entry = self._entries.get(guid)
-        key = (ttl, hops)
-        if entry is not None and entry[0] is message:
-            variants = entry[1]
-            cached = variants.get(key)
-            if cached is None:
-                base = next(iter(variants.values()))
-                cached = variants[key] = patch_ttl_hops(base, ttl, hops)
-            return cached
-        encoded = frame(guid, message, ttl=ttl, hops=hops)
-        entries = self._entries
-        if guid not in entries and len(entries) >= self.capacity:
-            # FIFO eviction: dict preserves insertion order, so the
-            # oldest GUID -- the one least likely to fan out again --
-            # goes first, deterministically
-            del entries[next(iter(entries))]
-        entries[guid] = (message, {key: encoded})
-        return encoded
 
 
 def decode_payload(header: Header, payload: bytes):

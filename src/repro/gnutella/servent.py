@@ -25,14 +25,13 @@ from ..simnet.kernel import Simulator
 from ..simnet.rng import SeededStream
 from ..simnet.transport import Envelope, Transport
 from .constants import (DEFAULT_PORT, DEFAULT_TTL, DESCRIPTOR_BYE,
-                        DESCRIPTOR_PING, DESCRIPTOR_PONG, DESCRIPTOR_PUSH,
-                        DESCRIPTOR_QUERY, DESCRIPTOR_QUERY_HIT,
-                        HEADER_LENGTH, MAX_RESULTS_PER_HIT,
-                        QHD_VENDOR_LIMEWIRE)
+                        DESCRIPTOR_PING, DESCRIPTOR_PONG, DESCRIPTOR_QUERY,
+                        DESCRIPTOR_QUERY_HIT, HEADER_LENGTH,
+                        MAX_RESULTS_PER_HIT, QHD_VENDOR_LIMEWIRE)
 from .ggep import daily_uptime_block, encode_ggep, vendor_block
 from .guid import GUID_LENGTH, guid_hex, new_guid
-from .messages import (Bye, FrameCache, Header, HitResult, MessageError,
-                       Ping, Pong, Query, QueryHit, frame, parse_header,
+from .messages import (Bye, Header, HitResult, MessageError, Ping, Pong,
+                       Query, QueryHit, decode_payload, frame, parse_header,
                        patch_ttl_hops)
 from .qrp import QueryRouteTable, query_slots
 
@@ -103,8 +102,6 @@ class GnutellaServent:
         self.stats = ServentStats()
         #: live dynamic-query controllers: guid -> state dict
         self._dynamic_states: Dict[bytes, Dict[str, object]] = {}
-        #: encode-once memo for descriptors this servent fans out
-        self.frame_cache = FrameCache()
 
         #: ultrapeer neighbours (ids) -- for leaves these are its shields
         self.peer_ids: List[str] = []
@@ -176,22 +173,22 @@ class GnutellaServent:
         """Issue a keyword query to all attached ultrapeers.
 
         Returns the descriptor GUID so the caller can correlate hits.
-        The descriptor body is encoded once and fanned out; every
-        neighbour receives byte-identical wire bytes, as before.
+        The frame is encoded once and every neighbour receives the same
+        bytes.
         """
         guid = new_guid(self.stream)
         self._origin_guids.add(guid)
         query = Query(min_speed_kbps=min_speed_kbps, criteria=criteria)
-        encoded = self.frame_cache.frame(guid, query, ttl=ttl, hops=0)
-        self.transport.send_many(self.endpoint_id, self.peer_ids, encoded)
+        self.transport.send_many(self.endpoint_id, self.peer_ids,
+                                 frame(guid, query, ttl=ttl, hops=0))
         return guid
 
     def send_ping(self) -> bytes:
         """Issue a Ping to neighbours (host discovery/keepalive)."""
         guid = new_guid(self.stream)
         self._origin_guids.add(guid)
-        encoded = self.frame_cache.frame(guid, Ping(), ttl=1, hops=0)
-        self.transport.send_many(self.endpoint_id, self.peer_ids, encoded)
+        self.transport.send_many(self.endpoint_id, self.peer_ids,
+                                 frame(guid, Ping(), ttl=1, hops=0))
         return guid
 
     def send_bye(self, code: int = 200,
@@ -204,64 +201,41 @@ class GnutellaServent:
         """
         bye = Bye(code=code, reason=reason)
         guid = new_guid(self.stream)
-        encoded = self.frame_cache.frame(guid, bye, ttl=1, hops=0)
-        self.transport.send_many(self.endpoint_id, self.peer_ids, encoded)
+        self.transport.send_many(self.endpoint_id, self.peer_ids,
+                                 frame(guid, bye, ttl=1, hops=0))
 
     # -- receiving -----------------------------------------------------------
     def _on_envelope(self, envelope: Envelope) -> None:
-        """Receive path: header-only parse, body decoded on demand.
+        """Receive path: every descriptor but a QueryHit decodes first.
 
-        Forwarding-heavy descriptor types never pay for a full decode:
-        QueryHits relay as raw bytes with only the ttl/hops re-stamped,
-        Pongs decode only when a host cache wants them, Pings and Pushes
-        are validated by length alone.  A frame counts in
-        ``decode_errors`` exactly when :func:`decode_payload` would
-        reject it, for every frame our encoders can produce; the
-        per-type length guards mirror the corresponding ``decode``
-        preconditions.
+        A QueryHit skips the body decode, since most hits are relayed
+        as raw bytes (see :meth:`_handle_query_hit_raw`); every other
+        frame decodes through :func:`decode_payload`, and one it
+        rejects counts in ``decode_errors``.  The handlers run outside
+        that ``try``, so an error a handler raises is never counted as
+        a decode error.  A Push is decoded for that check alone:
+        downloads are modelled at the measurement layer.
         """
         raw = envelope.payload
         try:
             header = parse_header(raw)
+            dtype = header.descriptor_type
+            message = (None if dtype == DESCRIPTOR_QUERY_HIT
+                       else decode_payload(header, raw[HEADER_LENGTH:]))
         except MessageError:
             self.stats.decode_errors += 1
             return
-        dtype = header.descriptor_type
         if dtype == DESCRIPTOR_QUERY:
-            try:
-                query = Query.decode(raw[HEADER_LENGTH:])
-            except MessageError:
-                self.stats.decode_errors += 1
-                return
-            self._handle_query(envelope.src, header, query, raw)
+            self._handle_query(envelope.src, header, message, raw)
         elif dtype == DESCRIPTOR_QUERY_HIT:
             self._handle_query_hit_raw(envelope.src, header, raw)
         elif dtype == DESCRIPTOR_PING:
             self._handle_ping(envelope.src, header)
         elif dtype == DESCRIPTOR_PONG:
-            # Pong.decode fails on exactly one condition: payload < 14
-            # bytes.  Check it even when nobody consumes the pong so the
-            # error counter matches decode_payload.
-            if header.payload_length < 14:
-                self.stats.decode_errors += 1
-            elif self.host_cache is not None:
-                self.host_cache.add_pong(Pong.decode(raw[HEADER_LENGTH:]),
-                                         self.sim.now)
+            if self.host_cache is not None:
+                self.host_cache.add_pong(message, self.sim.now)
         elif dtype == DESCRIPTOR_BYE:
-            try:
-                Bye.decode(raw[HEADER_LENGTH:])
-            except MessageError:
-                self.stats.decode_errors += 1
-                return
             self._handle_bye(envelope.src)
-        elif dtype == DESCRIPTOR_PUSH:
-            # Push.decode fails iff the payload is short; the message
-            # itself is unused (downloads live at the measurement layer)
-            if header.payload_length < GUID_LENGTH + 10:
-                self.stats.decode_errors += 1
-        else:
-            # decode_payload rejects unknown descriptor types
-            self.stats.decode_errors += 1
 
     def _handle_bye(self, src: str) -> None:
         """A neighbour disconnected gracefully; drop its session state."""
@@ -367,10 +341,8 @@ class GnutellaServent:
             return
         header: Header = state["header"]  # type: ignore[assignment]
         query: Query = state["query"]  # type: ignore[assignment]
-        # the same query object probes round after round, so the cache
-        # encodes the body once and re-stamps ttl/hops
-        probe = self.frame_cache.frame(guid, query, ttl=self.DQ_PROBE_TTL,
-                                       hops=header.hops + 1)
+        probe = frame(guid, query, ttl=self.DQ_PROBE_TTL,
+                      hops=header.hops + 1)
         for _ in range(min(self.DQ_BATCH, len(remaining))):
             peer_id = remaining.pop()
             self.transport.send(self.endpoint_id, peer_id, probe)

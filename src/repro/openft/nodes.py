@@ -29,7 +29,6 @@ from ..simnet.rng import SeededStream
 from ..simnet.transport import Envelope, Transport
 from .constants import (CLASS_SEARCH, CLASS_USER, DEFAULT_HTTP_PORT,
                         DEFAULT_OPENFT_PORT, FT_ADDSHARE_REQUEST,
-                        FT_BROWSE_RESPONSE, FT_SEARCH_REQUEST,
                         FT_SEARCH_RESPONSE, MAX_SEARCH_RESULTS,
                         OPENFT_VERSION, SEARCH_TTL)
 from .packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET, AddShare,
@@ -39,7 +38,7 @@ from .packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET, AddShare,
                       PacketError, RemShare, SearchRequest, SearchResponse,
                       ShareSyncEnd, StatsRequest, StatsResponse,
                       VersionRequest, VersionResponse, decode_packet,
-                      encode_packet, parse_packet_header, patch_search_ttl)
+                      encode_packet, parse_packet_header)
 
 __all__ = ["ShareRecord", "NodeStats", "OpenFTNode"]
 
@@ -161,51 +160,34 @@ class OpenFTNode:
         self.transport.send(self.endpoint_id, dst, encode_packet(packet))
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        """Receive path: header-only parse, decode on demand.
+        """Receive path: every packet but a SearchResponse decodes first.
 
-        The two relay-dominated commands (search responses travelling
-        back to the requester, browse listings streaming past
-        non-owners) and search requests at non-search nodes skip the
-        payload decode entirely; AddShare, most of a campaign's
-        deliveries, decodes straight into its handler; everything else
-        falls through to the eager dispatch.  ``parse_packet_header``
-        applies the same framing checks as :func:`decode_packet`, so a
-        packet counts in ``decode_errors`` exactly when
-        :func:`decode_packet` would reject it, for every packet our
-        encoders produce.
+        A SearchResponse skips the payload decode, since most responses
+        are relayed as raw bytes (see :meth:`_handle_SearchResponse_raw`).
+        AddShare, most of a campaign's deliveries, decodes straight into
+        its handler; every other packet goes through
+        :func:`decode_packet` and the ``_handle_<Packet>`` method of its
+        class.  A packet the decode rejects counts in
+        ``decode_errors``; the handlers run outside that ``try``, so an
+        error a handler raises is never counted as a decode error.
         """
         raw = envelope.payload
         try:
             command, length = parse_packet_header(raw)
+            if command == FT_ADDSHARE_REQUEST:
+                packet = AddShare.decode(raw[PACKET_HEADER_LENGTH:])
+            elif command == FT_SEARCH_RESPONSE:
+                packet = None
+            else:
+                packet = decode_packet(raw)
         except PacketError:
             self.stats.decode_errors += 1
             return
-        if command == FT_SEARCH_RESPONSE:
-            self._handle_SearchResponse_raw(envelope.src, raw, length)
-        elif command == FT_ADDSHARE_REQUEST:
-            try:
-                packet = AddShare.decode(raw[PACKET_HEADER_LENGTH:])
-            except PacketError:
-                self.stats.decode_errors += 1
-                return
+        if command == FT_ADDSHARE_REQUEST:
             self._handle_AddShare(envelope.src, packet)
-        elif command == FT_SEARCH_REQUEST:
-            if not self.is_search_node:
-                return  # only search nodes serve searches
-            try:
-                packet = SearchRequest.decode(raw[PACKET_HEADER_LENGTH:])
-            except PacketError:
-                self.stats.decode_errors += 1
-                return
-            self._handle_SearchRequest(envelope.src, packet, raw)
-        elif command == FT_BROWSE_RESPONSE:
-            self._handle_BrowseResponse_raw(envelope.src, raw, length)
+        elif command == FT_SEARCH_RESPONSE:
+            self._handle_SearchResponse_raw(envelope.src, raw, length)
         else:
-            try:
-                packet = decode_packet(raw)
-            except PacketError:
-                self.stats.decode_errors += 1
-                return
             handler = getattr(self, f"_handle_{type(packet).__name__}", None)
             if handler is not None:
                 handler(envelope.src, packet)
@@ -412,11 +394,10 @@ class OpenFTNode:
                                  encode_packet(request))
         return search_id
 
-    def _handle_SearchRequest(self, src: str, packet: SearchRequest,
-                              raw: bytes) -> None:
-        """Serve and forward one search.  ``raw`` is the received
-        packet; the mesh forward re-stamps its ttl bytes instead of
-        re-encoding the request once per peer."""
+    def _handle_SearchRequest(self, src: str,
+                              packet: SearchRequest) -> None:
+        """Serve one search and forward it across the search-node mesh,
+        encoded once with its ttl one lower."""
         if not self.is_search_node:
             return
         self.stats.searches_seen += 1
@@ -433,7 +414,7 @@ class OpenFTNode:
         self._send(src, SearchResponse.end_marker(packet.search_id))
 
         if packet.ttl > 0:
-            forwarded = patch_search_ttl(raw, packet.ttl - 1)
+            forwarded = encode_packet(packet._replace(ttl=packet.ttl - 1))
             targets = [peer_id for peer_id in self.search_peer_ids
                        if peer_id != src]
             self.transport.send_many(self.endpoint_id, targets, forwarded)
@@ -507,23 +488,12 @@ class OpenFTNode:
                                            filename=shared.name))
         self._send(src, BrowseResponse.end_marker(packet.browse_id))
 
-    def _handle_BrowseResponse_raw(self, src: str, raw: bytes,
-                                   length: int) -> None:
-        """Deliver one BrowseResponse packet for our own browse; listings
-        streaming past a non-owner are dropped on the browse id alone."""
-        if length < 26:
-            # below BrowseResponse.decode's floor
-            self.stats.decode_errors += 1
-            return
-        browse_id = struct.unpack_from(">I", raw, PACKET_HEADER_LENGTH)[0]
-        if browse_id not in self._own_browses:
-            return
-        try:
-            packet = BrowseResponse.decode(raw[PACKET_HEADER_LENGTH:])
-        except PacketError:
-            self.stats.decode_errors += 1
-            return
-        if self.on_browse_result is not None:
+    def _handle_BrowseResponse(self, src: str,
+                               packet: BrowseResponse) -> None:
+        """Deliver one BrowseResponse of our own browse; a listing for
+        any other browse is dropped."""
+        if (packet.browse_id in self._own_browses
+                and self.on_browse_result is not None):
             self.on_browse_result(packet)
 
     def _handle_PushRequest(self, src: str, packet) -> None:

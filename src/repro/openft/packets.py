@@ -34,15 +34,13 @@ __all__ = ["PacketError", "VersionRequest", "VersionResponse",
            "StatsRequest", "StatsResponse", "SearchRequest",
            "SearchResponse", "BrowseRequest", "BrowseResponse",
            "PushRequest", "encode_packet", "decode_packet",
-           "parse_packet_header", "patch_search_ttl",
-           "PACKET_HEADER_LENGTH", "SEARCH_ID_OFFSET", "SEARCH_TTL_OFFSET"]
+           "parse_packet_header", "PACKET_HEADER_LENGTH",
+           "SEARCH_ID_OFFSET"]
 
 #: ``length(2 BE) | command(2 BE)`` -- every packet starts with these.
 PACKET_HEADER_LENGTH = 4
 #: SearchRequest/SearchResponse payloads open with the 4-byte search id.
 SEARCH_ID_OFFSET = PACKET_HEADER_LENGTH
-#: SearchRequest ttl sits right after the search id (see its ``encode``).
-SEARCH_TTL_OFFSET = SEARCH_ID_OFFSET + 4
 #: distinct payloads :meth:`AddShare.decode` remembers.  A 1-day world
 #: decodes ~53,500 AddShare payloads that hold ~6,500 distinct ones (a
 #: child re-sends its whole library at every session up); 4,096 entries
@@ -536,29 +534,13 @@ def encode_packet(packet) -> bytes:
     return struct.pack(">HH", len(payload), packet.command) + payload
 
 
-def decode_packet(raw: bytes):
-    """Parse framed bytes back into a packet object."""
-    if len(raw) < 4:
-        raise PacketError(f"short packet: {len(raw)} bytes")
-    length, command = struct.unpack_from(">HH", raw)
-    payload = raw[4:]
-    if len(payload) != length:
-        raise PacketError(
-            f"length mismatch: header says {length}, got {len(payload)}")
-    decoder = _DECODERS.get(command)
-    if decoder is None:
-        raise PacketError(f"unknown command 0x{command:04x}")
-    return decoder(payload)
-
-
 def parse_packet_header(raw) -> Tuple[int, int]:
     """``(command, payload_length)`` without decoding the payload.
 
-    Applies exactly the framing checks :func:`decode_packet` applies
-    (short packet, declared-vs-actual length, known command), so a
-    packet accepted here is a packet ``decode_packet`` would hand to a
-    payload decoder.  Lazy receivers dispatch on the command and decode
-    only when a handler needs payload fields.
+    Checks the framing (short packet, declared-vs-actual length, known
+    command), so a packet accepted here is one :func:`decode_packet`
+    hands to a payload decoder.  A receiver that relays a packet on a
+    fixed-offset field dispatches on the command and never decodes it.
 
     ``raw`` may be ``bytes``, ``bytearray`` or a ``memoryview``:
     ``struct.unpack_from`` reads the four header bytes straight out of
@@ -577,18 +559,7 @@ def parse_packet_header(raw) -> Tuple[int, int]:
     return command, length
 
 
-def patch_search_ttl(raw, ttl: int) -> bytes:
-    """Re-stamp a framed SearchRequest's ttl without re-encoding.
-
-    The ttl is the only field a forwarding SEARCH node changes, and it
-    sits at a fixed offset (search id is fixed-width), so stamping the
-    two ttl bytes produces the same bytes a decode/re-encode would.
-
-    One buffer copy plus an in-place ``struct.pack_into`` -- the old
-    three-slice splice built four transient objects and copied the
-    body twice.  ``raw`` may be ``bytes``, ``bytearray`` or a
-    ``memoryview``.
-    """
-    patched = bytearray(raw)
-    struct.pack_into(">H", patched, SEARCH_TTL_OFFSET, ttl)
-    return bytes(patched)
+def decode_packet(raw: bytes):
+    """Parse framed bytes back into a packet object."""
+    command, _ = parse_packet_header(raw)
+    return _DECODERS[command](raw[PACKET_HEADER_LENGTH:])

@@ -71,10 +71,6 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         return self.queue.push(self.now + delay, callback, label)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (safe to call any number of times)."""
-        self.queue.cancel(event)
-
     def every(self, interval: float, callback: Callable[[], None],
               label: str = "", jitter: Optional[SeededStream] = None,
               until: Optional[float] = None) -> None:
@@ -142,20 +138,18 @@ class Simulator:
             event = pop_ready(end_time)
             if event is None:
                 break
-            time = event.time
+            time, _, callback, label, args = event
             if time < clock._now:
                 raise ValueError(
                     f"clock cannot run backwards: "
                     f"now={clock._now!r}, target={time!r}")
             clock._now = time
-            args = event.args
             if telemetry is None:
                 if args:
-                    event.callback(*args)
+                    callback(*args)
                 else:
-                    event.callback()
+                    callback()
             else:
-                label = event.label
                 counts[label] = counts_get(label, 0) + 1
                 if on_event is not None:
                     on_event(time, label)
@@ -163,13 +157,13 @@ class Simulator:
                 if since_sample >= sample_every:
                     since_sample = 0
                     started = perf_counter()
-                    event.callback(*args)
+                    callback(*args)
                     telemetry.observe_callback(
                         label, perf_counter() - started)
                 elif args:
-                    event.callback(*args)
+                    callback(*args)
                 else:
-                    event.callback()
+                    callback()
             processed += 1
         remaining = queue.peek_time()
         if not self._halted and (remaining is None or remaining > end_time):

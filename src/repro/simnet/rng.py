@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Optional, Sequence, TypeVar
+from typing import Dict, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -118,11 +118,6 @@ class SeededStream:
             if cumulative >= target:
                 return rank
         return n
-
-    def iter_uniform(self, low: float, high: float) -> Iterator[float]:
-        """Infinite iterator of uniform draws; convenient for tests."""
-        while True:
-            yield self.uniform(low, high)
 
 
 class StreamRegistry:

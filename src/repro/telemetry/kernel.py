@@ -54,12 +54,6 @@ class KernelTelemetry:
             labels=("label",), buckets=CALLBACK_BUCKETS)
         self._queue_depth = self.registry.gauge(
             "sim_queue_depth", "Live events waiting in the queue.")
-        self._queue_dead = self.registry.gauge(
-            "sim_queue_dead_events",
-            "Cancelled events still occupying the scheduler.")
-        self._cancelled = self.registry.gauge(
-            "sim_queue_cancelled_total",
-            "Events ever cancelled through the queue (monotonic).")
         self._virtual_time = self.registry.gauge(
             "sim_virtual_time_seconds", "Current virtual clock reading.")
         self.registry.gauge(
@@ -85,8 +79,5 @@ class KernelTelemetry:
             if delta:
                 self._events.labels(label).inc(delta)
                 flushed[label] = total
-        queue = sim.queue
-        self._queue_depth.set(len(queue))
-        self._queue_dead.set(queue.dead_events)
-        self._cancelled.set(queue.cancelled_total)
+        self._queue_depth.set(len(sim.queue))
         self._virtual_time.set(sim.now)

@@ -285,10 +285,6 @@ class MetricRegistry:
         """The instrument registered under ``name``, if any."""
         return self._metrics.get(name)
 
-    def metric_names(self) -> List[str]:
-        """All registered names, in registration order."""
-        return list(self._metrics)
-
     def _get_or_create(self, cls, name: str, help: str,
                        label_names: Sequence[str], **kwargs):
         existing = self._metrics.get(name)

@@ -32,8 +32,9 @@ class TestHostClauses:
                          worker_stall=WorkerStall(seeds=(3,)),
                          io_clauses=(TornWrite(at_ops=(0,)),))
         assert bool(plan)
-        described = plan.describe()
-        assert "WorkerHang" in described and "TornWrite" in described
+        assert plan.worker_hang == WorkerHang(seeds=(2,))
+        assert plan.worker_stall == WorkerStall(seeds=(3,))
+        assert plan.io_clauses == (TornWrite(at_ops=(0,)),)
 
     def test_plan_rejects_foreign_io_clause(self):
         with pytest.raises(TypeError, match="IO fault"):

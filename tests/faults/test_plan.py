@@ -90,12 +90,6 @@ class TestFaultPlan:
         plan = FaultPlan.envelope("severe", 1000.0)
         assert pickle.loads(pickle.dumps(plan)) == plan
 
-    def test_describe_lists_clauses(self):
-        assert FaultPlan().describe() == "(empty plan)"
-        text = FaultPlan.envelope("mild", 1000.0).describe()
-        assert "LossBurst" in text
-        assert "Tamper" in text
-
 
 class TestEnvelope:
     def test_off_is_empty(self):

@@ -1,16 +1,19 @@
-"""Encode-once fan-out: header patching, lazy parse, the frame cache."""
+"""Forwarding without re-encoding: header patching and the lazy parse.
 
-from collections import Counter
+A relayed Query or QueryHit leaves with only its ttl/hops bytes
+re-stamped (:func:`patch_ttl_hops`), and a QueryHit is routed on its
+header alone (:func:`parse_header`); these tests pin both against
+:func:`frame` and :func:`parse_frame`.
+"""
 
 import pytest
 
-from repro.gnutella import messages
 from repro.gnutella.constants import HEADER_LENGTH
 from repro.gnutella.guid import GUID_LENGTH
-from repro.gnutella.messages import (FrameCache, Header, HitResult,
-                                     MessageError, Ping, Pong, Query,
-                                     QueryHit, frame, parse_frame,
-                                     parse_header, patch_ttl_hops)
+from repro.gnutella.messages import (Header, HitResult, MessageError, Ping,
+                                     Pong, Query, QueryHit, frame,
+                                     parse_frame, parse_header,
+                                     patch_ttl_hops)
 
 GUID_A = bytes(range(16))
 GUID_B = bytes(range(16, 32))
@@ -87,93 +90,3 @@ class TestParseHeader:
             parse_frame(raw)
         with pytest.raises(MessageError):
             parse_header(raw)
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """How often the cache encoded a body (``frame``) and stamped a new
-    header variant (``patch``)."""
-    counts = Counter(frame=0, patch=0)
-
-    def counted(name, function):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return function(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(messages, "frame", counted("frame", frame))
-    monkeypatch.setattr(messages, "patch_ttl_hops",
-                        counted("patch", patch_ttl_hops))
-    return counts
-
-
-class TestFrameCache:
-    def test_miss_then_hits(self, calls):
-        cache = FrameCache()
-        query = _query()
-        first = cache.frame(GUID_A, query, ttl=7, hops=0)
-        assert calls == {"frame": 1, "patch": 0}
-        again = cache.frame(GUID_A, query, ttl=7, hops=0)
-        assert again == first
-        patched = cache.frame(GUID_A, query, ttl=2, hops=3)
-        assert calls == {"frame": 1, "patch": 1}
-        assert patched == frame(GUID_A, query, ttl=2, hops=3)
-
-    def test_byte_identical_to_plain_frame(self):
-        cache = FrameCache()
-        query = _query()
-        for ttl, hops in ((7, 0), (6, 1), (2, 2), (7, 0)):
-            assert cache.frame(GUID_A, query, ttl=ttl, hops=hops) == \
-                frame(GUID_A, query, ttl=ttl, hops=hops)
-
-    def test_identity_check_not_equality(self, calls):
-        cache = FrameCache()
-        cache.frame(GUID_A, _query("one"), ttl=7, hops=0)
-        # equal guid, different (even equal-valued) object: re-encode
-        cache.frame(GUID_A, _query("one"), ttl=7, hops=0)
-        assert calls == {"frame": 2, "patch": 0}
-
-    def test_reused_guid_overwrites_entry(self):
-        cache = FrameCache()
-        cache.frame(GUID_A, _query("one"), ttl=7, hops=0)
-        replacement = _query("two")
-        raw = cache.frame(GUID_A, replacement, ttl=7, hops=0)
-        assert raw == frame(GUID_A, replacement, ttl=7, hops=0)
-        assert len(cache) == 1
-
-    def test_fifo_eviction_at_capacity(self, calls):
-        cache = FrameCache(capacity=2)
-        queries = {guid: _query(f"q{guid[0]}")
-                   for guid in (GUID_A, GUID_B, bytes(range(32, 48)))}
-        for guid, query in queries.items():
-            cache.frame(guid, query, ttl=7, hops=0)
-        assert len(cache) == 2
-        # the oldest (GUID_A) was evicted; re-framing it misses
-        cache.frame(GUID_A, queries[GUID_A], ttl=7, hops=0)
-        assert calls == {"frame": 4, "patch": 0}
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            FrameCache(capacity=0)
-
-    def test_repeat_stamping_returns_cached_object(self, calls):
-        # the variant memo: fanning out at the same (ttl, hops) must
-        # return the exact cached bytes object -- zero copies
-        cache = FrameCache()
-        query = _query()
-        cache.frame(GUID_A, query, ttl=7, hops=0)
-        first = cache.frame(GUID_A, query, ttl=6, hops=1)
-        assert calls["patch"] == 1
-        for _ in range(3):
-            assert cache.frame(GUID_A, query, ttl=6, hops=1) is first
-        assert calls["patch"] == 1  # stamped once, reused thereafter
-
-    def test_variants_are_byte_identical_to_frame(self, calls):
-        cache = FrameCache()
-        query = _query()
-        stampings = ((7, 0), (6, 1), (7, 0), (5, 2), (6, 1))
-        for ttl, hops in stampings:
-            assert cache.frame(GUID_A, query, ttl=ttl, hops=hops) == \
-                frame(GUID_A, query, ttl=ttl, hops=hops)
-        assert calls["frame"] == 1  # body encoded exactly once
-        assert calls["patch"] == 2  # two new stampings beyond the first

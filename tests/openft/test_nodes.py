@@ -38,6 +38,29 @@ class TestAdoption:
 
 
 class TestSearch:
+    def test_mesh_forward_lowers_the_ttl(self, sim):
+        # a three-node clique: the first search node forwards with ttl
+        # 0, and its peers serve the search without forwarding it again
+        from repro.openft.constants import CLASS_SEARCH
+        from repro.openft.nodes import OpenFTNode
+        from repro.openft.packets import SearchRequest, encode_packet
+        from repro.simnet.addresses import AddressAllocator
+        from repro.simnet.transport import Transport
+        transport = Transport(sim)
+        allocator = AddressAllocator(sim.stream("a"))
+        mesh = [OpenFTNode(sim, transport, f"search{i}",
+                           allocator.allocate(), klass=CLASS_SEARCH)
+                for i in range(3)]
+        for node in mesh:
+            node.search_peer_ids = [peer.endpoint_id for peer in mesh
+                                    if peer is not node]
+        transport.attach("user", lambda envelope: None)
+        transport.send("user", "search0", encode_packet(
+            SearchRequest(search_id=7, ttl=1, query="free music")))
+        sim.run_until(60.0)
+        assert [node.stats.searches_seen for node in mesh] == [1, 1, 1]
+        assert [node.stats.searches_forwarded for node in mesh] == [2, 0, 0]
+
     def test_search_returns_matching_shares(self, ft_world):
         user = ft_world.users[3]
         shared = next(iter(user.library))

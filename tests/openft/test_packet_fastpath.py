@@ -1,14 +1,13 @@
-"""Lazy header parse + ttl splicing for the OpenFT data-plane fast path."""
+"""The OpenFT header-only parse that relayed SearchResponses take."""
 
 import struct
 
 import pytest
 
 from repro.openft.packets import (PACKET_HEADER_LENGTH, SEARCH_ID_OFFSET,
-                                  SEARCH_TTL_OFFSET, PacketError,
-                                  SearchRequest, SearchResponse,
+                                  PacketError, SearchRequest, SearchResponse,
                                   decode_packet, encode_packet,
-                                  parse_packet_header, patch_search_ttl)
+                                  parse_packet_header)
 
 MD5 = "0123456789abcdef0123456789abcdef"
 
@@ -50,29 +49,3 @@ class TestParsePacketHeader:
                                   md5=MD5, filename="r.exe")
         raw = encode_packet(response)
         assert struct.unpack_from(">I", raw, SEARCH_ID_OFFSET)[0] == 123
-
-
-class TestPatchSearchTtl:
-    def test_patch_equals_reencode(self):
-        raw = encode_packet(_search(ttl=3))
-        for ttl in (2, 1, 0):
-            expected = encode_packet(_search()._replace(ttl=ttl))
-            assert patch_search_ttl(raw, ttl) == expected
-
-    def test_patch_touches_only_the_ttl_bytes(self):
-        raw = encode_packet(_search(ttl=5))
-        patched = patch_search_ttl(raw, 4)
-        assert patched[:SEARCH_TTL_OFFSET] == raw[:SEARCH_TTL_OFFSET]
-        assert patched[SEARCH_TTL_OFFSET + 2:] == raw[SEARCH_TTL_OFFSET + 2:]
-        assert decode_packet(patched).ttl == 4
-
-    def test_accepts_memoryview_without_materializing(self):
-        raw = encode_packet(_search(ttl=5))
-        view = memoryview(b"xx" + raw + b"yy")[2:2 + len(raw)]
-        assert patch_search_ttl(view, 4) == patch_search_ttl(raw, 4)
-        assert isinstance(patch_search_ttl(view, 4), bytes)
-
-    def test_out_of_range_ttl_rejected(self):
-        raw = encode_packet(_search(ttl=5))
-        with pytest.raises(struct.error):
-            patch_search_ttl(raw, 0x10000)

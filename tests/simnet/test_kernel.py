@@ -38,14 +38,6 @@ class TestScheduling:
         sim.run_until(100.0)
         assert fired == ["early", "late"]
 
-    def test_cancel(self, sim):
-        fired = []
-        event = sim.after(5.0, lambda: fired.append(1))
-        sim.cancel(event)
-        sim.cancel(event)  # double cancel is safe
-        sim.run_until(10.0)
-        assert fired == []
-
     def test_run_until_returns_processed_count(self, sim):
         for _ in range(4):
             sim.after(1.0, lambda: None)

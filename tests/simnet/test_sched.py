@@ -1,11 +1,10 @@
 """Tests for the event queue and the kernel loop that drains it.
 
 The centrepiece is a randomized differential harness: arbitrary
-schedule/cancel/pop/peek programs -- near and far-future times, exact
-ties and mass cancellation -- run against a plain list model
-(:class:`ListModel`) and the queue in lockstep, asserting identical
-pop order and identical accounting at every step.  The unit tests then
-pin the order and accounting edges one by one, and
+schedule/pop/peek programs -- near and far-future times and exact ties
+-- run against a plain list model (:class:`ListModel`) and the queue in
+lockstep, asserting identical pop order and identical lengths at every
+step.  The unit tests then pin the order edges one by one, and
 :class:`TestKernelDrain` drives ``Simulator.run_until`` with and
 without telemetry attached.
 """
@@ -24,16 +23,14 @@ Entry = namedtuple("Entry", "time seq")
 
 
 class ListModel:
-    """The reference queue: live ``(time, seq)`` entries in a list.
+    """The reference queue: pending ``(time, seq)`` entries in a list.
 
-    Pops take the ``min`` entry.  Cancel removes an entry only while it
-    is live, so cancelling twice, or after the pop, counts nothing.
+    Pops take the ``min`` entry.
     """
 
     def __init__(self):
         self.live = []
         self.next_seq = 0
-        self.cancelled_total = 0
 
     def __len__(self):
         return len(self.live)
@@ -43,11 +40,6 @@ class ListModel:
         self.next_seq += 1
         self.live.append(entry)
         return entry
-
-    def cancel(self, entry):
-        if entry in self.live:
-            self.live.remove(entry)
-            self.cancelled_total += 1
 
     def peek_time(self):
         return min(self.live).time if self.live else None
@@ -80,14 +72,25 @@ class TestDifferential:
         rng = random.Random(seed)
         model, queue = ListModel(), EventQueue()
         now = [0.0]
-        pairs = []
+        pushed = []
         fired_m, fired_q = [], []
 
         def push(t):
             entry = model.push(t)
             event = queue.push(t, lambda: None, "l")
             assert entry == (event.time, event.seq)
-            pairs.append((entry, event))
+            pushed.append(entry)
+
+        def fire(entry, event):
+            """Check one pop from each side; False when both were empty."""
+            assert (entry is None) == (event is None)
+            if entry is None:
+                return False
+            assert entry == (event.time, event.seq)
+            now[0] = entry.time
+            fired_m.append(entry.seq)
+            fired_q.append(event.seq)
+            return True
 
         for _ in range(rng.randrange(40, 250)):
             op = rng.random()
@@ -99,47 +102,26 @@ class TestDifferential:
                     push(now[0] + rng.uniform(8.0, 600))
                 elif r < 0.85:
                     push(now[0] + rng.uniform(600, 50_000))
-                elif r < 0.95 and pairs:
+                elif r < 0.95 and pushed:
                     # exact tie with an already-scheduled instant
-                    push(max(pairs[rng.randrange(len(pairs))][0].time,
+                    push(max(pushed[rng.randrange(len(pushed))].time,
                              now[0]))
                 else:
                     push(now[0] + rng.uniform(50_000, 3_000_000))
-            elif op < 0.75 and pairs:
-                k = rng.randrange(len(pairs))
-                if rng.random() < 0.3 and len(pairs) > 5:
-                    # mass cancellation burst (fired events included:
-                    # cancel must stay counter-neutral for those)
-                    for j in range(rng.randrange(3, 20)):
-                        entry, event = pairs[(k + j) % len(pairs)]
-                        model.cancel(entry)
-                        queue.cancel(event)
-                else:
-                    entry, event = pairs[k]
-                    model.cancel(entry)
-                    queue.cancel(event)
+            elif op < 0.6:
+                # one pop, whatever the time of the earliest event
+                fire(model.pop(), queue.pop())
             elif op < 0.9:
                 horizon = now[0] + rng.uniform(0, 2000) * rng.choice(
                     [0.01, 1, 50])
-                while True:
-                    entry = model.pop_ready(horizon)
-                    event = queue.pop_ready(horizon)
-                    assert (entry is None) == (event is None)
-                    if entry is None:
-                        break
-                    assert entry == (event.time, event.seq)
-                    now[0] = entry.time
-                    fired_m.append(entry.seq)
-                    fired_q.append(event.seq)
+                while fire(model.pop_ready(horizon), queue.pop_ready(horizon)):
+                    pass
             else:
                 assert model.peek_time() == queue.peek_time()
             assert len(model) == len(queue)
-            assert model.cancelled_total == queue.cancelled_total
-            assert queue.dead_events >= 0
         assert drain(model) == drain(queue)
         assert fired_m == fired_q
         assert len(model) == len(queue) == 0
-        assert queue.dead_events == 0
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_program_matches_heap(self, seed):
@@ -147,7 +129,7 @@ class TestDifferential:
 
 
 class TestWheelEdges:
-    """Far-future times, far-apart ties and tombstone accounting."""
+    """Far-future times and far-apart ties."""
 
     def test_overflow_bucket_holds_beyond_top_level(self):
         queue = EventQueue()
@@ -173,31 +155,6 @@ class TestWheelEdges:
         for t in reversed(times):
             queue.push(t, lambda: None)
         assert [queue.pop().time for _ in times] == times
-
-    def test_whole_dead_bucket_dropped_without_sifting(self):
-        queue = EventQueue()
-        # a run of tombstones ahead of one live event
-        dead = [queue.push(100.0 + i * 0.001, lambda: None)
-                for i in range(50)]
-        live = queue.push(500.0, lambda: None)
-        for event in dead:
-            queue.cancel(event)
-        assert queue.dead_events == 50
-        assert queue.pop() is live
-        assert queue.dead_events == 0
-        assert len(queue) == 0
-
-    def test_mass_cancellation_drains_to_empty(self):
-        queue = EventQueue()
-        events = [queue.push(float(i % 97) + 0.5, lambda: None)
-                  for i in range(300)]
-        for event in events:
-            queue.cancel(event)
-        assert len(queue) == 0
-        assert queue.cancelled_total == 300
-        assert queue.pop() is None
-        assert queue.dead_events == 0  # the pop discarded every tombstone
-
 
 class TestWindowEdges:
     """Pushes between pops, ties at now and the pop_ready horizon."""
@@ -237,18 +194,6 @@ class TestWindowEdges:
             queue.push(t, lambda: None)
         assert [queue.pop().time for _ in sparse] == sparse
         assert queue.pop() is None
-
-    def test_cancel_after_fire_leaves_counters_alone(self):
-        # cancelling a fired event marks it but must not disturb
-        # live/dead/cancelled accounting
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        assert queue.pop() is event
-        queue.cancel(event)
-        queue.cancel(event)
-        assert queue.cancelled_total == 0
-        assert len(queue) == 0
-        assert queue.dead_events == 0
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
@@ -305,17 +250,6 @@ class TestKernelDrain:
         assert sim.run_until(10.0, max_events=4) == 4
         assert len(sim.queue) == 6
         self._assert_counted(sim, 4)
-
-    def test_cancel_during_drain_skips_in_window(self, sim):
-        log = []
-        victim = sim.at(1.5, lambda: log.append("victim"))
-        sim.at(1.0, lambda: sim.cancel(victim))
-        sim.at(2.0, lambda: log.append("after"))
-        sim.run_all()
-        assert log == ["after"]
-        assert sim.queue.cancelled_total == 1
-        assert sim.queue.dead_events == 0
-        self._assert_counted(sim, 2)
 
     def test_run_until_advances_clock_to_horizon(self, sim):
         sim.at(1.0, lambda: None)

@@ -80,21 +80,6 @@ class TestGauges:
         sim = run_labelled(telemetry)
         assert registry.get("sim_queue_depth").value == 0
         assert registry.get("sim_virtual_time_seconds").value == sim.now
-        assert (registry.get("sim_queue_dead_events").value
-                == sim.queue.dead_events)
-
-    def test_cancelled_total_gauge_counts_cancels(self, registry):
-        telemetry = KernelTelemetry(registry)
-        sim = Simulator(seed=3, telemetry=telemetry)
-        keep = sim.at(1.0, lambda: None, label="keep")
-        for offset in range(4):
-            sim.cancel(sim.at(2.0 + offset, lambda: None, label="drop"))
-        sim.cancel(keep)
-        sim.cancel(keep)  # idempotent: counted once
-        sim.run_until(10.0)
-        assert registry.get("sim_queue_cancelled_total").value == 5
-        assert (registry.get("sim_queue_cancelled_total").value
-                == sim.queue.cancelled_total)
 
     def test_sample_interval_gauge_registered(self, registry):
         KernelTelemetry(registry, sample_every=32)

@@ -1,7 +1,8 @@
 """Every repo path the docs cite in backticks exists.
 
-README.md, docs/ARCHITECTURE.md and the verify skill name files,
-directories and test node ids in inline code spans.  A word of a span
+README.md, DESIGN.md, EXPERIMENTS.md, the three docs under docs/ and
+the verify skill name files, directories and test node ids in inline
+code spans.  A word of a span
 that starts with ``src/``, ``tests/``, ``perfbench/``, ``benchmarks/``
 or ``docs/`` resolves from the repo root; one whose first part is a
 ``repro`` subpackage (``simnet/sched.py``) resolves under
@@ -17,7 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-DOCS = ("README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md",
+        "docs/CALIBRATION.md", "docs/PROTOCOLS.md",
+        ".claude/skills/verify/SKILL.md")
 ROOT_PREFIXES = ("src/", "tests/", "perfbench/", "benchmarks/", "docs/")
 FENCE = re.compile(r"^ {0,3}```.*?^ {0,3}```", re.M | re.S)
 SPAN = re.compile(r"(`+)(.+?)\1", re.S)

@@ -1,29 +1,33 @@
-"""Payload-length floors of the lazy receive paths.
+"""Payload-length floors of the two receive paths.
 
-Both receivers skip the body decode for relay-heavy frame types and
-reject five of them by payload length alone: Gnutella Pong (< 14
-bytes), Push (< 26) and relayed QueryHit (< 27), and OpenFT
-SearchResponse (< 38) and BrowseResponse (< 26).  Each floor must match
-the eager decoder's: a frame one byte under it counts exactly one
-decode error (and ``decode_payload`` / ``decode_packet`` rejects it),
-while a frame exactly at the floor (which the eager decoder accepts)
-and an encoder-produced frame of the same type count none.
+Two floors are receiver code: a relayed QueryHit (< 27 bytes) and a
+relayed SearchResponse (< 38) are forwarded undecoded, so the receivers
+reject them by payload length alone.  The rest are the decoders' own:
+Gnutella Pong (< 14), Push (< 26) and Bye (< 3), and OpenFT
+SearchRequest (< 7) and BrowseResponse (< 26), which the receivers
+decode on arrival.  Each floor must match the decoder's: a frame one
+byte under it counts exactly one decode error (and ``decode_payload`` /
+``decode_packet`` rejects it), while a frame exactly at the floor (which
+the decoder accepts) and an encoder-produced frame of the same type
+count none.
 """
 
 import struct
 
 import pytest
 
-from repro.gnutella.constants import (DESCRIPTOR_PONG, DESCRIPTOR_PUSH,
-                                      DESCRIPTOR_QUERY_HIT)
-from repro.gnutella.messages import (Header, HitResult, MessageError, Pong,
-                                     Push, QueryHit, decode_payload, frame)
+from repro.gnutella.constants import (DESCRIPTOR_BYE, DESCRIPTOR_PONG,
+                                      DESCRIPTOR_PUSH, DESCRIPTOR_QUERY_HIT)
+from repro.gnutella.messages import (Bye, Header, HitResult, MessageError,
+                                     Pong, Push, QueryHit, decode_payload,
+                                     frame)
 from repro.gnutella.servent import GnutellaServent
-from repro.openft.constants import FT_BROWSE_RESPONSE, FT_SEARCH_RESPONSE
+from repro.openft.constants import (FT_BROWSE_RESPONSE, FT_SEARCH_REQUEST,
+                                    FT_SEARCH_RESPONSE)
 from repro.openft.nodes import OpenFTNode
 from repro.openft.packets import (BrowseResponse, PacketError,
-                                  SearchResponse, decode_packet,
-                                  encode_packet)
+                                  SearchRequest, SearchResponse,
+                                  decode_packet, encode_packet)
 from repro.simnet.addresses import AddressAllocator
 from repro.simnet.kernel import Simulator
 from repro.simnet.transport import Transport
@@ -33,6 +37,7 @@ MD5 = "0123456789abcdef0123456789abcdef"
 
 #: type -> (descriptor type, payload floor, an encodable message)
 GNUTELLA = {
+    "bye": (DESCRIPTOR_BYE, 3, Bye(code=200, reason="Session closed")),
     "pong": (DESCRIPTOR_PONG, 14,
              Pong(port=6346, address="10.0.0.1", file_count=3,
                   kbytes_shared=99)),
@@ -47,6 +52,8 @@ GNUTELLA = {
 
 #: type -> (command, payload floor, an encodable packet)
 OPENFT = {
+    "search-request": (FT_SEARCH_REQUEST, 7,
+                       SearchRequest(search_id=7, ttl=1, query="r exe")),
     "search-response": (FT_SEARCH_RESPONSE, 38,
                         SearchResponse(search_id=7, host="10.0.0.4",
                                        port=1215, http_port=1216,
